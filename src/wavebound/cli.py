@@ -11,13 +11,18 @@ Four commands:
   fitted speed.
 * ``wavebound figure {1..5}`` -- run the parameter sweep behind one of
   the five standard data figures and write one CSV per curve (bound,
-  linear, and simulated speeds side by side).
+  linear, and simulated speeds side by side).  Each figure is one row of
+  the ``_FIGURES`` table, run by ``_run_figure``.
 
-Every command writes a JSON run manifest (command line, resolved
-configuration, package versions, output paths, wall-clock time) into the
-output directory.  Exit codes: 0 success, 2 model/usage error, 3
-non-convergence, 4 numerical instability, 5 front-tracking failure,
-6 partial sweep failure.
+Every handler returns ``(payload, resolved_config, outputs, exit_code)``.
+``main`` alone prints the payload as JSON, writes the run manifest
+(command line, resolved configuration, package versions, output paths,
+wall-clock time) into the output directory, and maps every package error
+to an exit code through one table, ``_EXIT_CODES``: 2 model, usage or
+domain error (divergent weighted integral, degenerate diffusivity),
+3 solver failure (implicit-speed non-convergence with its last bracket,
+quadrature, profile-ODE step), 4 numerical instability, 5 front-tracking
+failure.  A sweep that finishes with some failed points exits 6.
 
 Sweep points run on a small thread pool; set WAVEBOUND_THREADS to cap
 (or serialise with WAVEBOUND_THREADS=1).  Output rows are sorted before
@@ -27,13 +32,14 @@ writing, so results do not depend on scheduling.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy
@@ -41,11 +47,15 @@ import scipy
 from . import __version__
 from .errors import (
     ConfigError,
+    DegenerateDiffusionError,
+    DivergentIntegralError,
     ExprSyntaxError,
     FrontTrackingError,
     InstabilityError,
     ModelError,
     NonConvergenceError,
+    QuadratureError,
+    StepFailureError,
     WaveboundError,
 )
 from .model import ScalarModel, TwoSpeciesModel, make_preset
@@ -56,17 +66,8 @@ from .pde import (
     simulate_scalar,
     simulate_two_species,
 )
-from .twospecies import (
-    linear_speed_two_species,
-    solve_implicit_speed,
-    weak_coupling_report,
-)
-from .varbound import (
-    fisher_stefan_bound,
-    linear_speed,
-    selection_criterion,
-    sup_F,
-)
+from .twospecies import solve_implicit_speed, weak_coupling_report
+from .varbound import fisher_stefan_bound, selection_criterion, sup_F
 
 EXIT_OK = 0
 EXIT_MODEL = 2
@@ -75,8 +76,30 @@ EXIT_INSTABILITY = 4
 EXIT_FRONT = 5
 EXIT_PARTIAL = 6
 
+# Looked up along the exception's MRO, so the most specific entry wins
+# (DivergentIntegralError is a QuadratureError but exits 2).
+_EXIT_CODES: Dict[type, int] = {
+    ModelError: EXIT_MODEL,
+    ConfigError: EXIT_MODEL,
+    ExprSyntaxError: EXIT_MODEL,
+    DivergentIntegralError: EXIT_MODEL,
+    DegenerateDiffusionError: EXIT_MODEL,
+    NonConvergenceError: EXIT_NONCONV,
+    QuadratureError: EXIT_NONCONV,
+    StepFailureError: EXIT_NONCONV,
+    InstabilityError: EXIT_INSTABILITY,
+    FrontTrackingError: EXIT_FRONT,
+}
+
 _SCALAR_PRESETS = ("fisher_kpp", "porous_fisher", "allee", "linear_shift")
 _TWO_PRESETS = ("ecm_c", "ecm_b", "landman")
+
+# SimConfig fields set by --ic/--ic-width/--ic-value/--level; the stefan
+# simulator has no use for them, so its parser does not offer them.
+_IC_FIELDS = ("ic_kind", "ic_width", "ic_value", "level")
+
+# (JSON payload, resolved config, output paths, exit code)
+_Result = Tuple[Dict[str, object], Dict[str, object], List[str], int]
 
 
 # ----------------------------------------------------------------------
@@ -101,9 +124,7 @@ def _add_scalar_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--preset", choices=_SCALAR_PRESETS)
     p.add_argument("--D", help="diffusivity expression in u")
     p.add_argument("--f", help="reaction expression in u")
-    p.add_argument(
-        "--param", action="append", default=[], metavar="NAME=VALUE"
-    )
+    p.add_argument("--param", action="append", default=[], metavar="NAME=VALUE")
 
 
 def _add_two_model_flags(p: argparse.ArgumentParser) -> None:
@@ -112,9 +133,7 @@ def _add_two_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--f", help="reaction expression in u1, u2")
     p.add_argument("--kappa", type=float, help="degradation rate (with --D/--f)")
     p.add_argument("--nu", type=float, help="far-field substance level (with --D/--f)")
-    p.add_argument(
-        "--param", action="append", default=[], metavar="NAME=VALUE"
-    )
+    p.add_argument("--param", action="append", default=[], metavar="NAME=VALUE")
 
 
 def _build_scalar_model(args: argparse.Namespace) -> ScalarModel:
@@ -159,8 +178,12 @@ def _two_model_config(model: TwoSpeciesModel) -> Dict[str, object]:
     }
 
 
-def _emit(payload: Dict[str, object]) -> None:
-    print(json.dumps(payload, indent=2, default=float))
+def _manifest_name(args: argparse.Namespace) -> str:
+    """bound-scalar_manifest.json, criterion_manifest.json, figure3_manifest.json, ..."""
+    if args.command == "figure":
+        return f"figure{args.n}_manifest.json"
+    stem = "-".join(filter(None, (args.command, getattr(args, "target", None))))
+    return f"{stem}_manifest.json"
 
 
 def _write_manifest(
@@ -213,7 +236,10 @@ def _float_list(text: str) -> List[float]:
 def _pool_size(n_items: int) -> int:
     env = os.environ.get("WAVEBOUND_THREADS", "").strip()
     if env:
-        workers = max(1, int(env))
+        try:
+            workers = max(1, int(env))
+        except ValueError:
+            raise ConfigError(f"WAVEBOUND_THREADS must be an integer, got {env!r}")
     else:
         workers = min(4, os.cpu_count() or 1)
     return max(1, min(workers, n_items))
@@ -247,73 +273,28 @@ def _sweep(
 # ----------------------------------------------------------------------
 
 
-def _cmd_bound_scalar(args: argparse.Namespace, argv: Sequence[str]) -> int:
-    t0 = time.monotonic()
+def _cmd_bound_scalar(args: argparse.Namespace) -> _Result:
     model = _build_scalar_model(args)
-    result = sup_F(model)
-    _emit(result.to_dict())
-    os.makedirs(args.out, exist_ok=True)
-    _write_manifest(
-        args.out,
-        "bound-scalar_manifest.json",
-        argv,
-        {"model": _scalar_model_config(model)},
-        [],
-        t0,
-    )
-    return EXIT_OK
+    return sup_F(model).to_dict(), {"model": _scalar_model_config(model)}, [], EXIT_OK
 
 
-def _cmd_bound_two(args: argparse.Namespace, argv: Sequence[str]) -> int:
-    t0 = time.monotonic()
+def _cmd_bound_two(args: argparse.Namespace) -> _Result:
     model = _build_two_model(args)
     solve = solve_implicit_speed(model)
     payload = solve.to_dict()
     payload["weak_coupling"] = weak_coupling_report(model, solve).to_dict()
-    _emit(payload)
-    os.makedirs(args.out, exist_ok=True)
-    _write_manifest(
-        args.out,
-        "bound-two-species_manifest.json",
-        argv,
-        {"model": _two_model_config(model)},
-        [],
-        t0,
-    )
-    return EXIT_OK
+    return payload, {"model": _two_model_config(model)}, [], EXIT_OK
 
 
-def _cmd_bound_fs(args: argparse.Namespace, argv: Sequence[str]) -> int:
-    t0 = time.monotonic()
+def _cmd_bound_fs(args: argparse.Namespace) -> _Result:
     value = fisher_stefan_bound(args.kappa)
-    _emit({"kappa": args.kappa, "c_lb": value})
-    os.makedirs(args.out, exist_ok=True)
-    _write_manifest(
-        args.out,
-        "bound-fisher-stefan_manifest.json",
-        argv,
-        {"kappa": args.kappa},
-        [],
-        t0,
-    )
-    return EXIT_OK
+    return {"kappa": args.kappa, "c_lb": value}, {"kappa": args.kappa}, [], EXIT_OK
 
 
-def _cmd_criterion(args: argparse.Namespace, argv: Sequence[str]) -> int:
-    t0 = time.monotonic()
+def _cmd_criterion(args: argparse.Namespace) -> _Result:
     model = _build_scalar_model(args)
     report = selection_criterion(model)
-    _emit(report.to_dict())
-    os.makedirs(args.out, exist_ok=True)
-    _write_manifest(
-        args.out,
-        "criterion_manifest.json",
-        argv,
-        {"model": _scalar_model_config(model)},
-        [],
-        t0,
-    )
-    return EXIT_OK
+    return report.to_dict(), {"model": _scalar_model_config(model)}, [], EXIT_OK
 
 
 # ----------------------------------------------------------------------
@@ -323,27 +304,15 @@ def _cmd_criterion(args: argparse.Namespace, argv: Sequence[str]) -> int:
 
 def _sim_config(args: argparse.Namespace) -> SimConfig:
     snaps = tuple(args.snapshot) if args.snapshot else (args.T / 2.0, args.T)
+    ic = {k: getattr(args, k) for k in _IC_FIELDS if hasattr(args, k)}
     return SimConfig(
-        L=args.L,
-        dx=args.dx,
-        T=args.T,
-        dt=args.dt,
-        snapshot_times=snaps,
-        ic_kind=args.ic,
-        ic_width=args.ic_width,
-        ic_value=args.ic_value,
-        level=args.level,
+        L=args.L, dx=args.dx, T=args.T, dt=args.dt, snapshot_times=snaps, **ic
     )
 
 
 def _finish_sim(
-    result: SimResult,
-    args: argparse.Namespace,
-    argv: Sequence[str],
-    model_config: Dict[str, object],
-    t0: float,
-    kind: str,
-) -> int:
+    result: SimResult, args: argparse.Namespace, model_config: Dict[str, object]
+) -> _Result:
     if math.isnan(result.fitted_speed):
         raise FrontTrackingError(
             "no trackable front: the profile never crossed the level inside "
@@ -354,275 +323,164 @@ def _finish_sim(
     front = os.path.join(args.out, "front.csv")
     result.write_profiles_csv(profiles)
     result.write_front_csv(front)
-    _emit(
-        {
-            "fitted_speed": result.fitted_speed,
-            "fit_residual": result.fit_residual,
-            "stability_report": result.stability_report,
-            "min_density": result.min_density,
-            "max_density": result.max_density,
-        }
-    )
-    _write_manifest(
-        args.out,
-        f"simulate-{kind}_manifest.json",
-        argv,
-        {"model": model_config, "sim": result.config.to_dict()},
-        [profiles, front],
-        t0,
-    )
-    return EXIT_OK
+    payload = {
+        "fitted_speed": result.fitted_speed,
+        "fit_residual": result.fit_residual,
+        "stability_report": result.stability_report,
+        "min_density": result.min_density,
+        "max_density": result.max_density,
+    }
+    config = {"model": model_config, "sim": result.config.to_dict()}
+    return payload, config, [profiles, front], EXIT_OK
 
 
-def _cmd_simulate_scalar(args: argparse.Namespace, argv: Sequence[str]) -> int:
-    t0 = time.monotonic()
+def _cmd_simulate_scalar(args: argparse.Namespace) -> _Result:
     model = _build_scalar_model(args)
     result = simulate_scalar(model, _sim_config(args))
-    return _finish_sim(result, args, argv, _scalar_model_config(model), t0, "scalar")
+    return _finish_sim(result, args, _scalar_model_config(model))
 
 
-def _cmd_simulate_two(args: argparse.Namespace, argv: Sequence[str]) -> int:
-    t0 = time.monotonic()
+def _cmd_simulate_two(args: argparse.Namespace) -> _Result:
     model = _build_two_model(args)
     result = simulate_two_species(model, _sim_config(args))
-    return _finish_sim(result, args, argv, _two_model_config(model), t0, "two-species")
+    return _finish_sim(result, args, _two_model_config(model))
 
 
-def _cmd_simulate_stefan(args: argparse.Namespace, argv: Sequence[str]) -> int:
-    t0 = time.monotonic()
+def _cmd_simulate_stefan(args: argparse.Namespace) -> _Result:
     result = simulate_fisher_stefan(args.kappa, _sim_config(args))
-    return _finish_sim(result, args, argv, {"kappa": args.kappa}, t0, "stefan")
+    return _finish_sim(result, args, {"kappa": args.kappa})
 
 
 # ----------------------------------------------------------------------
 # figures
 # ----------------------------------------------------------------------
 
+class _Figure(NamedTuple):
+    """One figure sweep.
 
-def _sim_cfg_for_sweep(args: argparse.Namespace, L: float, dx: float, T: float) -> SimConfig:
-    return SimConfig(
-        L=args.sim_L if args.sim_L is not None else L,
-        dx=args.sim_dx if args.sim_dx is not None else dx,
-        T=args.sim_T if args.sim_T is not None else T,
-    )
+    Each combination of the ``outer`` axes is one CSV, named by
+    ``csv_name.format(*outer_values)``; the ``inner`` axis gives its
+    rows.  An axis is ``(args attribute or None, default grid)``.
+    ``point(*outer_values, inner_value)`` returns the bound columns and
+    a thunk that simulates the same model; ``sim(inner_value)`` is the
+    default ``(L, dx, T)`` for that thunk.  The functions look library
+    names up when called, so patching them on this module takes effect.
+    """
 
-
-def _figure_1(args: argparse.Namespace, out: str) -> Tuple[List[str], List[Dict[str, str]]]:
-    m_values = _float_list(args.m_list) if args.m_list else [1.0, 2.0, 3.0]
-    n_values = _float_list(args.n_list) if args.n_list else [1.0, 2.0, 3.0]
-    csvs: List[str] = []
-    all_failures: List[Dict[str, str]] = []
-
-    def worker(point: Tuple) -> Tuple:
-        m, n = point
-        model = make_preset("porous_fisher", {"m": m, "n": n})
-        res = sup_F(model)
-        if args.no_sim:
-            sim, resid = float("nan"), float("nan")
-        else:
-            cfg = _sim_cfg_for_sweep(args, L=200.0, dx=0.05, T=150.0)
-            sim_res = simulate_scalar(model, cfg)
-            sim, resid = sim_res.fitted_speed, sim_res.fit_residual
-        return (n, res.c_lb, res.c_linear, sim, resid)
-
-    for m in m_values:
-        rows, failures = _sweep([(m, n) for n in n_values], worker)
-        path = os.path.join(out, f"figure1_m{m:g}.csv")
-        _write_csv(path, ["n", "c_lb", "c_linear", "simulated", "fit_residual"], rows)
-        csvs.append(path)
-        all_failures.extend(failures)
-    return csvs, all_failures
+    outer: Tuple[Tuple[Optional[str], Tuple], ...]
+    inner: Tuple[str, Tuple[float, ...]]
+    csv_name: str
+    header: Tuple[str, ...]
+    point: Callable[..., Tuple[Tuple, Callable[[SimConfig], SimResult]]]
+    sim: Callable[[float], Tuple[float, float, float]]
 
 
-def _figure_2(args: argparse.Namespace, out: str) -> Tuple[List[str], List[Dict[str, str]]]:
-    alpha_values = (
-        _float_list(args.alpha_list) if args.alpha_list else [0.25, 0.5, 1.0, 2.0]
-    )
-    a_values = (
-        _float_list(args.a_list) if args.a_list else [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]
-    )
-    csvs: List[str] = []
-    all_failures: List[Dict[str, str]] = []
-
-    def worker(point: Tuple) -> Tuple:
-        alpha, a = point
-        model = make_preset("allee", {"alpha": alpha, "a": a})
-        res = sup_F(model)
-        label = selection_criterion(model).classification
-        if args.no_sim:
-            sim, resid = float("nan"), float("nan")
-        else:
-            cfg = _sim_cfg_for_sweep(args, L=200.0, dx=0.1, T=150.0)
-            sim_res = simulate_scalar(model, cfg)
-            sim, resid = sim_res.fitted_speed, sim_res.fit_residual
-        return (a, res.c_lb, res.c_linear, label, sim, resid)
-
-    for alpha in alpha_values:
-        rows, failures = _sweep([(alpha, a) for a in a_values], worker)
-        path = os.path.join(out, f"figure2_alpha{alpha:g}.csv")
-        _write_csv(
-            path,
-            ["a", "c_lb", "c_linear", "classification", "simulated", "fit_residual"],
-            rows,
-        )
-        csvs.append(path)
-        all_failures.extend(failures)
-    return csvs, all_failures
+def _scalar_point(preset: str, params: Dict[str, float], classify: bool):
+    model = make_preset(preset, params)
+    res = sup_F(model)
+    cols: Tuple = (res.c_lb, res.c_linear)
+    if classify:
+        cols += (selection_criterion(model).classification,)
+    return cols, lambda cfg: simulate_scalar(model, cfg)
 
 
-def _figure_3(args: argparse.Namespace, out: str) -> Tuple[List[str], List[Dict[str, str]]]:
-    kappa_values = (
-        _float_list(args.kappa_list)
-        if args.kappa_list
-        else [0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 20.0, 50.0]
-    )
-
-    def worker(point: Tuple) -> Tuple:
-        (kappa,) = point
-        c_lb = fisher_stefan_bound(kappa)
-        if args.no_sim:
-            sim, resid = float("nan"), float("nan")
-        else:
-            T = 400.0 if kappa < 0.25 else 150.0
-            cfg = _sim_cfg_for_sweep(args, L=60.0, dx=0.1, T=T)
-            sim_res = simulate_fisher_stefan(kappa, cfg)
-            sim, resid = sim_res.fitted_speed, sim_res.fit_residual
-        return (kappa, c_lb, 2.0, sim, resid)
-
-    rows, failures = _sweep([(k,) for k in kappa_values], worker)
-    path = os.path.join(out, "figure3.csv")
-    _write_csv(
-        path, ["kappa", "c_lb", "c_linear", "simulated", "fit_residual"], rows
-    )
-    return [path], failures
+def _coupled_point(preset: str, params: Dict[str, float]):
+    model = make_preset(preset, params)
+    solve = solve_implicit_speed(model)
+    report = weak_coupling_report(model, solve)
+    cols = (solve.c, solve.c_linear, solve.epsilon, report.valid)
+    return cols, lambda cfg: simulate_two_species(model, cfg)
 
 
-def _figure_4(args: argparse.Namespace, out: str) -> Tuple[List[str], List[Dict[str, str]]]:
-    nu_values = (
-        _float_list(args.nu_list) if args.nu_list else [0.25, 0.5, 0.75]
-    )
-    kappa_values = (
-        _float_list(args.kappa_list)
-        if args.kappa_list
-        else [0.1, 0.3, 1.0, 3.0, 10.0]
-    )
-    csvs: List[str] = []
-    all_failures: List[Dict[str, str]] = []
-
-    def worker(point: Tuple) -> Tuple:
-        preset, nu, kappa = point
-        model = make_preset(preset, {"kappa": kappa, "nu": nu})
-        solve = solve_implicit_speed(model)
-        report = weak_coupling_report(model, solve)
-        if args.no_sim:
-            sim, resid = float("nan"), float("nan")
-        else:
-            cfg = _sim_cfg_for_sweep(args, L=360.0, dx=0.1, T=150.0)
-            sim_res = simulate_two_species(model, cfg)
-            sim, resid = sim_res.fitted_speed, sim_res.fit_residual
-        return (
-            kappa,
-            solve.c,
-            solve.c_linear,
-            solve.epsilon,
-            report.valid,
-            sim,
-            resid,
-        )
-
-    for preset in ("ecm_c", "ecm_b"):
-        for nu in nu_values:
-            rows, failures = _sweep(
-                [(preset, nu, k) for k in kappa_values], worker
-            )
-            path = os.path.join(out, f"figure4_{preset}_nu{nu:g}.csv")
-            _write_csv(
-                path,
-                [
-                    "kappa",
-                    "c_lb",
-                    "c_linear",
-                    "epsilon",
-                    "valid",
-                    "simulated",
-                    "fit_residual",
-                ],
-                rows,
-            )
-            csvs.append(path)
-            all_failures.extend(failures)
-    return csvs, all_failures
+def _stefan_point(kappa: float):
+    cols = (fisher_stefan_bound(kappa), 2.0)
+    return cols, lambda cfg: simulate_fisher_stefan(kappa, cfg)
 
 
-def _figure_5(args: argparse.Namespace, out: str) -> Tuple[List[str], List[Dict[str, str]]]:
-    K_values = _float_list(args.K_list) if args.K_list else [0.5, 2.0, 8.0]
-    lambda_values = (
-        _float_list(args.lambda_list)
-        if args.lambda_list
-        else [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
-    )
-    csvs: List[str] = []
-    all_failures: List[Dict[str, str]] = []
+_COUPLED_HEADER = ("c_lb", "c_linear", "epsilon", "valid")
 
-    def worker(point: Tuple) -> Tuple:
-        K, lam = point
-        model = make_preset("landman", {"lambda": lam, "K": K})
-        solve = solve_implicit_speed(model)
-        report = weak_coupling_report(model, solve)
-        if args.no_sim:
-            sim, resid = float("nan"), float("nan")
-        else:
-            cfg = _sim_cfg_for_sweep(args, L=360.0, dx=0.1, T=150.0)
-            sim_res = simulate_two_species(model, cfg)
-            sim, resid = sim_res.fitted_speed, sim_res.fit_residual
-        return (
-            lam,
-            solve.c,
-            solve.c_linear,
-            solve.epsilon,
-            report.valid,
-            sim,
-            resid,
-        )
-
-    for K in K_values:
-        rows, failures = _sweep([(K, lam) for lam in lambda_values], worker)
-        path = os.path.join(out, f"figure5_K{K:g}.csv")
-        _write_csv(
-            path,
-            [
-                "lambda",
-                "c_lb",
-                "c_linear",
-                "epsilon",
-                "valid",
-                "simulated",
-                "fit_residual",
-            ],
-            rows,
-        )
-        csvs.append(path)
-        all_failures.extend(failures)
-    return csvs, all_failures
+_FIGURES: Dict[int, _Figure] = {
+    1: _Figure(
+        outer=(("m_list", (1.0, 2.0, 3.0)),),
+        inner=("n_list", (1.0, 2.0, 3.0)),
+        csv_name="figure1_m{0:g}.csv",
+        header=("n", "c_lb", "c_linear"),
+        point=lambda m, n: _scalar_point("porous_fisher", {"m": m, "n": n}, False),
+        sim=lambda n: (200.0, 0.05, 150.0),
+    ),
+    2: _Figure(
+        outer=(("alpha_list", (0.25, 0.5, 1.0, 2.0)),),
+        inner=("a_list", (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)),
+        csv_name="figure2_alpha{0:g}.csv",
+        header=("a", "c_lb", "c_linear", "classification"),
+        point=lambda alpha, a: _scalar_point("allee", {"alpha": alpha, "a": a}, True),
+        sim=lambda a: (200.0, 0.1, 150.0),
+    ),
+    3: _Figure(
+        outer=(),
+        inner=("kappa_list", (0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 20.0, 50.0)),
+        csv_name="figure3.csv",
+        header=("kappa", "c_lb", "c_linear"),
+        point=_stefan_point,
+        sim=lambda kappa: (60.0, 0.1, 400.0 if kappa < 0.25 else 150.0),
+    ),
+    4: _Figure(
+        outer=((None, ("ecm_c", "ecm_b")), ("nu_list", (0.25, 0.5, 0.75))),
+        inner=("kappa_list", (0.1, 0.3, 1.0, 3.0, 10.0)),
+        csv_name="figure4_{0}_nu{1:g}.csv",
+        header=("kappa",) + _COUPLED_HEADER,
+        point=lambda preset, nu, kappa: _coupled_point(preset, {"kappa": kappa, "nu": nu}),
+        sim=lambda kappa: (360.0, 0.1, 150.0),
+    ),
+    5: _Figure(
+        outer=(("K_list", (0.5, 2.0, 8.0)),),
+        inner=("lambda_list", (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)),
+        csv_name="figure5_K{0:g}.csv",
+        header=("lambda",) + _COUPLED_HEADER,
+        point=lambda K, lam: _coupled_point("landman", {"lambda": lam, "K": K}),
+        sim=lambda lam: (360.0, 0.1, 150.0),
+    ),
+}
 
 
-_FIGURES = {1: _figure_1, 2: _figure_2, 3: _figure_3, 4: _figure_4, 5: _figure_5}
+def _grid(args: argparse.Namespace, attr: Optional[str], default: Tuple) -> Sequence:
+    text = getattr(args, attr) if attr else None
+    return _float_list(text) if text else default
 
 
-def _cmd_figure(args: argparse.Namespace, argv: Sequence[str]) -> int:
-    t0 = time.monotonic()
+def _run_figure(args: argparse.Namespace) -> _Result:
+    fig = _FIGURES[args.n]
     os.makedirs(args.out, exist_ok=True)
-    csvs, failures = _FIGURES[args.n](args, args.out)
-    _emit({"csvs": csvs, "failures": failures})
-    _write_manifest(
-        args.out,
-        f"figure{args.n}_manifest.json",
-        argv,
-        {"figure": args.n},
-        csvs,
-        t0,
-    )
-    return EXIT_PARTIAL if failures else EXIT_OK
+    outer = [_grid(args, attr, default) for attr, default in fig.outer]
+    inner = _grid(args, *fig.inner)
+    header = fig.header + ("simulated", "fit_residual")
+
+    def worker(point: Tuple) -> Tuple:
+        cols, simulate = fig.point(*point)
+        if args.no_sim:
+            sim, resid = float("nan"), float("nan")
+        else:
+            L, dx, T = fig.sim(point[-1])
+            res = simulate(
+                SimConfig(
+                    L=args.sim_L if args.sim_L is not None else L,
+                    dx=args.sim_dx if args.sim_dx is not None else dx,
+                    T=args.sim_T if args.sim_T is not None else T,
+                )
+            )
+            sim, resid = res.fitted_speed, res.fit_residual
+        return (point[-1],) + cols + (sim, resid)
+
+    csvs: List[str] = []
+    failures: List[Dict[str, str]] = []
+    for key in itertools.product(*outer):
+        rows, failed = _sweep([key + (x,) for x in inner], worker)
+        path = os.path.join(args.out, fig.csv_name.format(*key))
+        _write_csv(path, header, rows)
+        csvs.append(path)
+        failures.extend(failed)
+    code = EXIT_PARTIAL if failures else EXIT_OK
+    return {"csvs": csvs, "failures": failures}, {"figure": args.n}, csvs, code
 
 
 # ----------------------------------------------------------------------
@@ -637,12 +495,16 @@ def _add_sim_flags(
     p.add_argument("--dx", type=float, default=dx)
     p.add_argument("--T", type=float, default=T)
     p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--level", type=float, default=0.1)
     p.add_argument(
         "--snapshot", action="append", type=float, metavar="TIME",
         help="profile snapshot time (repeatable; default T/2 and T)",
     )
-    p.add_argument("--ic", choices=("step", "smoothed_step", "uniform"), default="step")
+
+
+def _add_ic_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--level", type=float, default=0.1)
+    p.add_argument("--ic", choices=("step", "smoothed_step", "uniform"),
+                   default="step", dest="ic_kind")
     p.add_argument("--ic-width", type=float, default=1.0, dest="ic_width")
     p.add_argument("--ic-value", type=float, default=0.5, dest="ic_value")
 
@@ -682,11 +544,13 @@ def build_parser() -> argparse.ArgumentParser:
     s_scalar = ssub.add_parser("scalar")
     _add_scalar_model_flags(s_scalar)
     _add_sim_flags(s_scalar, L=400.0, dx=0.1, T=150.0)
+    _add_ic_flags(s_scalar)
     s_scalar.add_argument("--out", default=".")
     s_scalar.set_defaults(handler=_cmd_simulate_scalar)
     s_two = ssub.add_parser("two-species")
     _add_two_model_flags(s_two)
     _add_sim_flags(s_two, L=360.0, dx=0.1, T=150.0)
+    _add_ic_flags(s_two)
     s_two.add_argument("--out", default=".")
     s_two.set_defaults(handler=_cmd_simulate_two)
     s_fs = ssub.add_parser("stefan")
@@ -711,32 +575,24 @@ def build_parser() -> argparse.ArgumentParser:
     fig.add_argument("--sim-T", dest="sim_T", type=float, default=None)
     fig.add_argument("--sim-L", dest="sim_L", type=float, default=None)
     fig.add_argument("--sim-dx", dest="sim_dx", type=float, default=None)
-    fig.set_defaults(handler=_cmd_figure)
+    fig.set_defaults(handler=_run_figure)
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    t0 = time.monotonic()
     try:
-        return args.handler(args, argv)
-    except (ModelError, ConfigError, ExprSyntaxError) as exc:
+        payload, config, outputs, code = args.handler(args)
+    except WaveboundError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MODEL
-    except NonConvergenceError as exc:
-        detail = ""
-        if exc.bracket is not None:
-            detail = f" (last bracket: [{exc.bracket[0]:.6g}, {exc.bracket[1]:.6g}])"
-        print(f"error: {exc}{detail}", file=sys.stderr)
-        return EXIT_NONCONV
-    except InstabilityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INSTABILITY
-    except FrontTrackingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FRONT
+        return next(_EXIT_CODES[c] for c in type(exc).__mro__ if c in _EXIT_CODES)
+    print(json.dumps(payload, indent=2, default=float))
+    os.makedirs(args.out, exist_ok=True)
+    _write_manifest(args.out, _manifest_name(args), argv, config, outputs, t0)
+    return code
 
 
 if __name__ == "__main__":

@@ -1,7 +1,17 @@
 """Exception types shared across the package.
 
-Each maps to a CLI exit code (see cli.py): validation problems exit 2,
-solver non-convergence 3, simulation blow-up 4, front-tracking failure 5.
+Each maps to a CLI exit code through one table, ``cli._EXIT_CODES``,
+looked up along the class hierarchy so the most specific entry wins:
+
+* 2 -- ModelError, ConfigError, ExprSyntaxError, and the model-outside-
+  the-method's-domain errors DivergentIntegralError and
+  DegenerateDiffusionError;
+* 3 -- QuadratureError, StepFailureError, NonConvergenceError;
+* 4 -- InstabilityError;
+* 5 -- FrontTrackingError.
+
+A new subclass needs an entry of its own or an ancestor with one;
+``tests/test_cli.py`` checks every class defined here.
 """
 
 

@@ -25,7 +25,6 @@ the neglected term in the underlying optimality system.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from math import ceil, log, sqrt
 from typing import Callable, Dict, Optional, Tuple
@@ -33,7 +32,6 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from . import specfun
 from ._quad import beta_weighted_integral, quad
 from ._search import golden_max
 from .errors import (
@@ -43,6 +41,7 @@ from .errors import (
     StepFailureError,
 )
 from .model import TwoSpeciesModel
+from .varbound import _beta, _log_gamma
 
 __all__ = [
     "WaveProfile2",
@@ -292,7 +291,7 @@ def G_of_beta(
     if beta == 2.0:
         return 2.0 * model.D_at_front * model.dfdu1_at_front
     M = M_of_beta(model, beta, c, profile)
-    return beta * M / specfun.beta(2.0 - beta, 2.0 + beta)
+    return beta * M / _beta(2.0 - beta, 2.0 + beta)
 
 
 def landman_G_closed(beta: float, lam: float, kappa: float, c: float) -> float:
@@ -311,7 +310,7 @@ def landman_G_closed(beta: float, lam: float, kappa: float, c: float) -> float:
     if not c > 0.0:
         raise ConfigError(f"c must be > 0, got {c}")
     eta = kappa * beta / (c * c)
-    lg = specfun.log_gamma
+    lg = _log_gamma
     ratio = np.exp(lg(1.0 + beta + eta) - lg(3.0 + eta) - lg(2.0 + beta))
     return beta * (1.0 - 6.0 * lam * ratio)
 

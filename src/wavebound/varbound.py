@@ -25,12 +25,11 @@ ds/dt = -kappa rho_x.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, sqrt
+from math import exp, lgamma, sqrt
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from . import specfun
 from ._quad import (
     _probe_divergence,
     beta_weighted_integral,
@@ -87,6 +86,19 @@ class BoundResult:
         }
 
 
+def _log_gamma(x: float) -> float:
+    """ln Gamma(x) for x > 0; ``math.lgamma`` alone also accepts negative
+    non-integers, where the closed forms below have no meaning."""
+    if not x > 0.0:
+        raise ValueError(f"log Gamma requires x > 0, got {x!r}")
+    return lgamma(x)
+
+
+def _beta(a: float, b: float) -> float:
+    """Euler Beta B(a, b), a, b > 0, in log space so large arguments stay finite."""
+    return exp(_log_gamma(a) + _log_gamma(b) - _log_gamma(a + b))
+
+
 def F_of_beta(
     model: ScalarModel,
     beta: float,
@@ -100,7 +112,7 @@ def F_of_beta(
         return 0.0
     g = _g if _g is not None else model.DR_fn()
     N = beta_weighted_integral(g, beta, probe=_probe)
-    return beta * N / specfun.beta(2.0 - beta, 2.0 + beta)
+    return beta * N / _beta(2.0 - beta, 2.0 + beta)
 
 
 def F_limit_beta2(model: ScalarModel) -> float:
@@ -141,7 +153,7 @@ def _interior_max(
 
     def F_frozen(b: float) -> float:
         return (
-            b * beta_weighted_on_mesh(g, b, mesh) / specfun.beta(2.0 - b, 2.0 + b)
+            b * beta_weighted_on_mesh(g, b, mesh) / _beta(2.0 - b, 2.0 + b)
         )
 
     beta_star, _ = golden_max(F_frozen, lo, hi, xtol=1e-6)
@@ -223,7 +235,7 @@ def closed_form_F(kind: str, beta: float, **params: float) -> float:
     Raises ValueError when a Gamma argument falls outside its domain.
     """
     beta = float(beta)
-    lg = specfun.log_gamma
+    lg = _log_gamma
     if kind == "wound":
         m, n = float(params.pop("m")), float(params.pop("n"))
         _no_extras(kind, params)

@@ -12,18 +12,23 @@ Proves:
  3. ``criterion`` classifies models on the correct side of the
     pushed/pulled boundary.
  4. Model, config, and expression-syntax errors exit 2 with an ``error:``
-    line on stderr (the parse position survives into the message).
+    line on stderr (the parse position survives into the message); a
+    model outside the method's domain exits 2 and a solver failure exits
+    3, each with one ``error:`` line and no traceback; every package
+    error has an exit code.
  5. ``simulate scalar`` writes profiles.csv and front.csv and reports the
     fitted speed; a run whose profile never crosses the tracking level
-    exits 5 without creating the output directory.
+    exits 5 without creating the output directory; ``simulate stefan``
+    rejects the initial-condition and level flags it has no use for.
  6. ``figure`` sweeps write one CSV per curve with the documented header,
     rerun byte-identically, exit 6 when some points fail (listing each
     failure in the JSON payload), and exit 0 otherwise.
  7. Figure CSVs agree with the library: the decoupled two-species column
     solves to c = 2, and a small porous-Fisher sweep lands the simulated
-    speed on top of the bound.
- 8. Worker-pool sizing honours WAVEBOUND_THREADS and never exceeds the
-    number of sweep points.
+    speed on top of the bound; the ``--no-sim`` CSVs of all five figures
+    match frozen text byte for byte.
+ 8. Worker-pool sizing honours WAVEBOUND_THREADS, rejects a non-integer
+    value, and never exceeds the number of sweep points.
 """
 
 import json
@@ -32,7 +37,8 @@ import os
 
 import pytest
 
-from wavebound import cli
+from wavebound import cli, errors
+from wavebound.errors import ConfigError, NonConvergenceError
 from wavebound.varbound import fisher_stefan_bound
 
 
@@ -187,6 +193,41 @@ def test_two_species_needs_kappa_and_nu(tmp_path, capsys):
     assert "--kappa" in err and "--nu" in err
 
 
+def test_degenerate_diffusion_exit_2(tmp_path, capsys):
+    # D = 1 - u2 vanishes at the far field u2 = nu = 1
+    code, out, err = _run(capsys, [
+        "bound", "two-species", "--D", "1 - u2", "--f", "u1*(1-u1)",
+        "--kappa", "1", "--nu", "1", "--out", str(tmp_path),
+    ])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_non_convergence_exit_3_bracket_once(tmp_path, capsys, monkeypatch):
+    def no_root(model):
+        raise NonConvergenceError("implicit speed did not converge", bracket=(1.25, 1.5))
+
+    monkeypatch.setattr(cli, "solve_implicit_speed", no_root)
+    code, _, err = _run(capsys, [
+        "bound", "two-species", "--preset", "landman",
+        "--param", "lambda=0.5", "--param", "K=2", "--out", str(tmp_path),
+    ])
+    assert code == 3
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert err.count("last bracket") == 1
+    assert "[1.25, 1.5]" in err
+
+
+def test_every_package_error_has_an_exit_code():
+    for obj in vars(errors).values():
+        if isinstance(obj, type) and issubclass(obj, errors.WaveboundError):
+            if obj is errors.WaveboundError:
+                continue
+            assert any(c in cli._EXIT_CODES for c in obj.__mro__), obj.__name__
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["--version"])
@@ -238,9 +279,71 @@ def test_simulate_without_front_exits_5(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "flag", [["--ic", "uniform"], ["--ic-width", "2"], ["--ic-value", "0.4"], ["--level", "0.9"]]
+)
+def test_simulate_stefan_rejects_unused_flags(tmp_path, capsys, flag):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["simulate", "stefan", "--kappa", "0.5", "--out", str(tmp_path)] + flag)
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 # ----------------------------------------------------------------------
 # figure sweeps
 # ----------------------------------------------------------------------
+
+# --no-sim CSVs frozen from the five separate figure drivers that the
+# _FIGURES table replaced; (figure, grid flags, exit code, {csv: text}) with
+# the CSVs listed in the order the payload reports them.
+_GOLDEN = [
+    (1, ["--m-list", "1,2", "--n-list", "1,3"], 0, {
+        "figure1_m1.csv": "n,c_lb,c_linear,simulated,fit_residual\n"
+                          "1,0.7071067812,0,nan,nan\n"
+                          "3,0.9002484284,0,nan,nan\n",
+        "figure1_m2.csv": "n,c_lb,c_linear,simulated,fit_residual\n"
+                          "1,0.4596315689,0,nan,nan\n"
+                          "3,0.628683938,0,nan,nan\n",
+    }),
+    (2, ["--alpha-list", "0.5,2", "--a-list", "0.1,0.3"], 0, {
+        "figure2_alpha0.5.csv": "a,c_lb,c_linear,classification,simulated,fit_residual\n"
+                                "0.1,0.4196562367,0,pushed,nan,nan\n"
+                                "0.3,0.302839704,0,pulled_candidate,nan,nan\n",
+        "figure2_alpha2.csv": "a,c_lb,c_linear,classification,simulated,fit_residual\n"
+                              "0.1,0.6495786168,0,pushed,nan,nan\n"
+                              "0.3,0.4532312159,0,pulled_candidate,nan,nan\n",
+    }),
+    (3, ["--kappa-list", "0.5,2,-1"], 6, {
+        "figure3.csv": "kappa,c_lb,c_linear,simulated,fit_residual\n"
+                       "0.5,0.2164860013,2,nan,nan\n"
+                       "2,0.538809367,2,nan,nan\n",
+    }),
+    (4, ["--nu-list", "0.5", "--kappa-list", "0.3"], 0, {
+        "figure4_ecm_c_nu0.5.csv": "kappa,c_lb,c_linear,epsilon,valid,simulated,fit_residual\n"
+                                   "0.3,1.414213562,1.414213562,0.1060660172,True,nan,nan\n",
+        "figure4_ecm_b_nu0.5.csv": "kappa,c_lb,c_linear,epsilon,valid,simulated,fit_residual\n"
+                                   "0.3,1,1,0.15,True,nan,nan\n",
+    }),
+    (5, ["--K-list", "0.5", "--lambda-list", "0,0.4"], 0, {
+        "figure5_K0.5.csv": "lambda,c_lb,c_linear,epsilon,valid,simulated,fit_residual\n"
+                            "0,2,2,0,True,nan,nan\n"
+                            "0.4,1.549193338,1.549193338,0.1290994449,True,nan,nan\n",
+    }),
+]
+
+
+@pytest.mark.parametrize(
+    "n, grid, want_code, want", _GOLDEN, ids=[f"figure{g[0]}" for g in _GOLDEN]
+)
+def test_figure_no_sim_golden(tmp_path, capsys, n, grid, want_code, want):
+    code, out, _ = _run(capsys, ["figure", str(n), "--no-sim", "--out", str(tmp_path)] + grid)
+    assert code == want_code
+    assert json.loads(out)["csvs"] == [str(tmp_path / name) for name in want]
+    for name, text in want.items():
+        assert (tmp_path / name).read_text() == text, name
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert written == sorted(list(want) + [f"figure{n}_manifest.json"])
+
 
 _FIG5_HEADER = "lambda,c_lb,c_linear,epsilon,valid,simulated,fit_residual"
 
@@ -339,6 +442,9 @@ def test_pool_size_env_override(monkeypatch):
     assert cli._pool_size(8) == 3
     monkeypatch.setenv("WAVEBOUND_THREADS", "100")
     assert cli._pool_size(8) == 8
+    monkeypatch.setenv("WAVEBOUND_THREADS", "abc")
+    with pytest.raises(ConfigError, match="WAVEBOUND_THREADS"):
+        cli._pool_size(8)
     monkeypatch.delenv("WAVEBOUND_THREADS")
     assert 1 <= cli._pool_size(8) <= 4
     assert cli._pool_size(1) == 1
