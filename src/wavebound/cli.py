@@ -15,11 +15,12 @@ Four commands:
   the ``_FIGURES`` table, run by ``_run_figure``.
 
 Every handler returns ``(payload, resolved_config, outputs, exit_code)``.
-``main`` alone prints the payload as JSON, writes the run manifest
-(command line, resolved configuration, package versions, output paths,
-wall-clock time) into the output directory, and maps every package error
-to an exit code through one table, ``_EXIT_CODES``: 2 model, usage or
-domain error (divergent weighted integral, degenerate diffusivity),
+``main`` alone writes the run manifest (command line, resolved
+configuration, package versions, output paths, wall-clock time) into the
+output directory, then prints the payload as JSON, and maps every package
+error to an exit code through one table, ``_EXIT_CODES``: 2 model, usage
+or domain error (divergent weighted integral, degenerate diffusivity) or
+an ``--out`` that cannot be created or written,
 3 solver failure (implicit-speed non-convergence with its last bracket,
 quadrature, profile-ODE step), 4 numerical instability, 5 front-tracking
 failure.  A sweep that finishes with some failed points exits 6.
@@ -509,8 +510,22 @@ def _add_ic_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ic-value", type=float, default=0.5, dest="ic_value")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Rejects unrecognised arguments with its own usage line.
+
+    Plain argparse hands a subcommand's leftovers up to the root parser,
+    whose usage line names no subcommand.  Subparsers inherit this class.
+    """
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wavebound",
         description="Travelling-wave speed bounds and validating simulations.",
     )
@@ -585,13 +600,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     t0 = time.monotonic()
     try:
+        # an --out naming a file fails before any work; the directory
+        # itself is made only once there is something to write into it
+        if os.path.exists(args.out) and not os.path.isdir(args.out):
+            raise NotADirectoryError(f"{args.out} is not a directory")
         payload, config, outputs, code = args.handler(args)
+        os.makedirs(args.out, exist_ok=True)
+        _write_manifest(args.out, _manifest_name(args), argv, config, outputs, t0)
     except WaveboundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(_EXIT_CODES[c] for c in type(exc).__mro__ if c in _EXIT_CODES)
+    except OSError as exc:
+        print(f"error: cannot write to --out: {exc}", file=sys.stderr)
+        return EXIT_MODEL
     print(json.dumps(payload, indent=2, default=float))
-    os.makedirs(args.out, exist_ok=True)
-    _write_manifest(args.out, _manifest_name(args), argv, config, outputs, t0)
     return code
 
 

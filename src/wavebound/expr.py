@@ -42,7 +42,6 @@ __all__ = [
     "Call",
     "parse",
     "render",
-    "evaluate",
     "substitute",
     "params_of",
     "variables_of",
@@ -329,33 +328,6 @@ def render(e: Expr) -> str:
             if _prec(e.right) <= p:
                 right = f"({right})"
         return f"{left} {e.op} {right}" if e.op in "+-" else f"{left}{e.op}{right}"
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-def evaluate(e: Expr, env: Mapping[str, float]) -> float:
-    """Tree-walking evaluation; env supplies variables and parameters.
-
-    Works with floats and numpy arrays alike.  Raises ModelError for
-    names missing from env.
-    """
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, (Var, Param)):
-        try:
-            return env[e.name]
-        except KeyError:
-            kind = "variable" if isinstance(e, Var) else "parameter"
-            raise ModelError(f"unbound {kind} {e.name!r}") from None
-    if isinstance(e, Neg):
-        return -evaluate(e.operand, env)
-    if isinstance(e, BinOp):
-        left = evaluate(e.left, env)
-        right = evaluate(e.right, env)
-        if e.op == "^":
-            return left**right
-        return _APPLY[e.op](left, right)
-    if isinstance(e, Call):
-        return np.exp(evaluate(e.arg, env))
     raise TypeError(f"not an expression node: {e!r}")
 
 

@@ -26,7 +26,7 @@ the neglected term in the underlying optimality system.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, log, sqrt
+from math import expm1, log, sqrt
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
@@ -82,8 +82,9 @@ class WaveProfile2:
     def u2_at(self, u1: np.ndarray) -> np.ndarray:
         """Evaluate u2 at arbitrary u1 in [0, 1] (vectorised).
 
-        Inside the integrated range the ODE solver's dense output is
-        used; past u1 = 1 - 1e-8 the analytic tail
+        Up to u1 = 1 - 1e-8 the profile's own interpolant is used (the
+        closed form, the substance curve, or the ODE solver's dense
+        output); past it the analytic tail
         u2 = u2(cut) ((1-u1)/1e-8)^p with p = kappa beta D(1,0) / c^2.
         """
         u1 = np.asarray(u1, dtype=float)
@@ -152,14 +153,136 @@ def v_star(
     return c * u1 * (1.0 - u1) / (beta * D)
 
 
+class _SubstanceCurve:
+    """The slaved substance curve U(t) of a model whose D depends on u2 only.
+
+    For D = D(u2) the profile ODE du2/dw = -eta u2 D(u2), eta = kappa
+    beta / c^2, is autonomous, so every (beta, c) profile is one curve
+    read at a different rate: u2(w) = U(eta w), where
+
+        dU/dt = -U D(U),    U(0) = nu.
+
+    U is integrated once with DOP853 (rtol 1e-12) until it falls to
+    1e-12 nu and continued past that point by the exponential tail at rate
+    D(0); in between, each solver step is split into 16 cubic Hermite
+    panels built from the exact slope -U D(U), so evaluation is a
+    searchsorted plus one polynomial, all in numpy.
+    """
+
+    _TINY = 1e-12
+    _PANELS_PER_STEP = 16
+    # if U has not decayed by this time, D(u2) vanishes somewhere in (0, nu]
+    _T_CAP = 1e6
+
+    def __init__(self, model: TwoSpeciesModel) -> None:
+        D_fn, nu = model.D_fn, model.nu
+        self.rate = float(D_fn(0.0, 0.0))
+        if self.rate <= 1e-14:
+            raise DegenerateDiffusionError(
+                "D(u1, 0) vanishes: the slaved substance has no decay rate "
+                "far behind the front"
+            )
+
+        def rhs(t: float, y: np.ndarray) -> np.ndarray:
+            return -y * np.asarray(D_fn(0.0, np.clip(y, 0.0, nu)), dtype=float)
+
+        def decayed(t: float, y: np.ndarray) -> float:
+            return y[0] - self._TINY * nu
+
+        decayed.terminal = True  # type: ignore[attr-defined]
+        sol = solve_ivp(
+            rhs,
+            (0.0, self._T_CAP),
+            np.array([nu]),
+            method="DOP853",
+            rtol=1e-12,
+            atol=1e-3 * self._TINY * nu,
+            dense_output=True,
+            events=decayed,
+        )
+        if not sol.success:
+            raise StepFailureError(
+                f"substance-curve integration failed: {sol.message}"
+            )
+        if sol.status != 1:
+            raise DegenerateDiffusionError(
+                "D(u2) vanishes between 0 and nu: the slaved substance "
+                "never decays"
+            )
+        steps = sol.t
+        frac = np.arange(self._PANELS_PER_STEP) / self._PANELS_PER_STEP
+        nodes = np.append(
+            (steps[:-1, None] + np.diff(steps)[:, None] * frac).ravel(), steps[-1]
+        )
+        U = sol.sol(nodes)[0]
+        U[0] = nu
+        h = np.diff(nodes)
+        slope = -U * np.asarray(D_fn(np.zeros_like(U), U), dtype=float)
+        y0, y1, d0, d1 = U[:-1], U[1:], h * slope[:-1], h * slope[1:]
+        self._t = nodes
+        self._h = h
+        self._coef = np.stack(
+            [y0, d0, 3.0 * (y1 - y0) - 2.0 * d0 - d1, 2.0 * (y0 - y1) + d0 + d1]
+        )
+        self._t_end = float(nodes[-1])
+        self._U_end = float(U[-1])
+
+    def __call__(self, t: np.ndarray) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        i = np.clip(np.searchsorted(self._t, t, side="right") - 1, 0, len(self._h) - 1)
+        s = np.minimum((t - self._t[i]) / self._h[i], 1.0)
+        a, b, c, d = self._coef[:, i]
+        inside = a + s * (b + s * (c + s * d))
+        tail = self._U_end * np.exp(-self.rate * np.maximum(t - self._t_end, 0.0))
+        return np.where(t <= self._t_end, inside, tail)
+
+
+def _substance_curve(model: TwoSpeciesModel) -> _SubstanceCurve:
+    """The model's substance curve, built on first use and kept on the model."""
+    curve = model.__dict__.get("_substance_curve")
+    if curve is None:
+        curve = _SubstanceCurve(model)
+        object.__setattr__(model, "_substance_curve", curve)
+    return curve
+
+
+def _closed_profile(
+    model: TwoSpeciesModel,
+    beta: float,
+    c: float,
+    interp: Callable[[np.ndarray], np.ndarray],
+    rate: float,
+) -> WaveProfile2:
+    """A profile given in closed form as w -> u2, with tail exponent rate."""
+    u1_grid = np.append(np.linspace(0.0, 1.0 - _U1_CUT, 160), 1.0)
+    u2 = np.append(interp(-np.log1p(-u1_grid[:-1])), 0.0)
+    vs = v_star(model, beta, c, u1_grid, u2)
+    return WaveProfile2(
+        u1_grid=u1_grid,
+        u2=u2,
+        v_star=vs,
+        beta=beta,
+        c=c,
+        nu=model.nu,
+        tail_exponent=rate,
+        _interp=interp,
+        _u2_cut=float(interp(np.array(_W_MAX))),
+    )
+
+
 def solve_u2_profile(model: TwoSpeciesModel, beta: float, c: float) -> WaveProfile2:
-    """Integrate the slaved-substance ODE from (u1, u2) = (0, nu) to u1 = 1.
+    """The slaved substance profile u2(u1) from (u1, u2) = (0, nu) to u1 = 1.
 
     The equation du2/du1 = -(kappa beta / c^2) u2 D / (1 - u1) is stiff in
     u1 near the far edge; substituting w = -ln(1 - u1) removes the 1/(1-u1)
-    factor entirely, leaving du2/dw = -(kappa beta / c^2) u2 D(u1(w), u2),
-    which is integrated with rtol 1e-10 to u1 = 1 - 1e-8 and closed with
-    the analytic tail u2 ~ (1 - u1)^p, p = kappa beta D(1, 0) / c^2.
+    factor entirely, leaving du2/dw = -eta u2 D(u1(w), u2) with eta =
+    kappa beta / c^2, carried to u1 = 1 - 1e-8 and closed with the
+    analytic tail u2 ~ (1 - u1)^p, p = eta D(1, 0).  Three routes:
+
+    * constant D: the exact power law u2 = nu (1 - u1)^(eta D);
+    * D = D(u2): u2(w) = U(eta w) on the model's substance curve U, which
+      is solved once per model and shared by every (beta, c);
+    * general D: one DOP853 integration per (beta, c), rtol 1e-10.
     """
     if not c > 0.0:
         raise ConfigError(f"c must be > 0, got {c}")
@@ -187,32 +310,28 @@ def solve_u2_profile(model: TwoSpeciesModel, beta: float, c: float) -> WaveProfi
         # rate, u2 = nu (1 - u1)^(coef D), exact everywhere -- no need to
         # pay for an adaptive integration
         rate = coef * float(model.D_fn(0.0, nu))
-        u1_grid = np.append(np.linspace(0.0, 1.0 - _U1_CUT, 160), 1.0)
-        u2 = np.append(nu * (1.0 - u1_grid[:-1]) ** rate, 0.0)
-        vs = v_star(model, beta, c, u1_grid, u2)
-        return WaveProfile2(
-            u1_grid=u1_grid,
-            u2=u2,
-            v_star=vs,
-            beta=beta,
-            c=c,
-            nu=nu,
-            tail_exponent=rate,
-            _interp=lambda w: nu * np.exp(-rate * w),
-            _u2_cut=nu * np.exp(-rate * _W_MAX),
+        return _closed_profile(
+            model, beta, c, lambda w: nu * np.exp(-rate * w), rate
+        )
+
+    if model.D_vars == {"u2"}:
+        curve = _substance_curve(model)
+        return _closed_profile(
+            model, beta, c, lambda w: curve(coef * w), coef * curve.rate
         )
 
     D_fn = model.D_fn
 
     def rhs(w: float, y: np.ndarray) -> np.ndarray:
-        u1 = -np.expm1(-w)
-        return -coef * y * np.asarray(D_fn(u1, np.clip(y, 0.0, nu)), dtype=float)
+        # scalar arguments: array calls here would cost more than D itself
+        u2 = min(max(float(y[0]), 0.0), nu)
+        return -coef * y * float(D_fn(-expm1(-w), u2))
 
     sol = solve_ivp(
         rhs,
         (0.0, _W_MAX),
         np.array([nu]),
-        method="RK45",
+        method="DOP853",
         rtol=1e-10,
         atol=1e-14 * max(nu, 1e-6),
         dense_output=True,

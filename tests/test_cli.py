@@ -15,7 +15,9 @@ Proves:
     line on stderr (the parse position survives into the message); a
     model outside the method's domain exits 2 and a solver failure exits
     3, each with one ``error:`` line and no traceback; every package
-    error has an exit code.
+    error has an exit code; an ``--out`` that is (or lies under) a
+    regular file exits 2 with one ``error:`` line and nothing on stdout;
+    an unknown flag prints the subcommand's usage line, not the root's.
  5. ``simulate scalar`` writes profiles.csv and front.csv and reports the
     fitted speed; a run whose profile never crosses the tracking level
     exits 5 without creating the output directory; ``simulate stefan``
@@ -220,6 +222,21 @@ def test_non_convergence_exit_3_bracket_once(tmp_path, capsys, monkeypatch):
     assert "[1.25, 1.5]" in err
 
 
+@pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "under_file"])
+def test_out_not_a_directory_exit_2(tmp_path, capsys, sub):
+    blocker = tmp_path / "file"
+    blocker.write_text("keep\n")
+    out = blocker / sub if sub else blocker
+    code, stdout, err = _run(capsys, [
+        "bound", "fisher-stefan", "--kappa", "1", "--out", str(out),
+    ])
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(blocker) in err
+    assert blocker.read_text() == "keep\n"
+
+
 def test_every_package_error_has_an_exit_code():
     for obj in vars(errors).values():
         if isinstance(obj, type) and issubclass(obj, errors.WaveboundError):
@@ -287,6 +304,25 @@ def test_simulate_stefan_rejects_unused_flags(tmp_path, capsys, flag):
         cli.main(["simulate", "stefan", "--kappa", "0.5", "--out", str(tmp_path)] + flag)
     assert excinfo.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, usage",
+    [
+        (["simulate", "stefan", "--kappa", "0.5", "--level", "0.9"],
+         "usage: wavebound simulate stefan "),
+        (["bound", "fisher-stefan", "--kappa", "1", "--bogus"],
+         "usage: wavebound bound fisher-stefan "),
+        (["figure", "3", "--nu-lst", "1"], "usage: wavebound figure "),
+    ],
+)
+def test_unknown_flag_prints_subcommand_usage(capsys, argv, usage):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(usage)
+    assert "unrecognized arguments" in err
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,8 @@ Proves:
       else becomes Param, and params_of/variables_of report them
   4.  substitute binds parameters and folds constant subtrees (including
       exp) without touching non-constant structure
-  5.  evaluate matches direct arithmetic and raises ModelError on
+  5.  the tree-walking reference evaluator kept here (the oracle for
+      compile_fn) matches direct arithmetic and raises ModelError on
       unbound names
   6.  compile_fn produces vectorised callables that broadcast constants
       to the first argument's shape, and rejects stray variables and
@@ -20,6 +21,7 @@ Proves:
 """
 
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -35,13 +37,43 @@ from wavebound.expr import (
     Param,
     Var,
     compile_fn,
-    evaluate,
     params_of,
     parse,
     render,
     substitute,
     variables_of,
 )
+
+
+_OPS = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "^": operator.pow,
+}
+
+
+def evaluate(e, env):
+    """Tree-walking reference evaluation, independent of compile_fn's codegen.
+
+    env supplies variables and parameters; a missing name raises ModelError.
+    """
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, (Var, Param)):
+        try:
+            return env[e.name]
+        except KeyError:
+            kind = "variable" if isinstance(e, Var) else "parameter"
+            raise ModelError(f"unbound {kind} {e.name!r}") from None
+    if isinstance(e, Neg):
+        return -evaluate(e.operand, env)
+    if isinstance(e, BinOp):
+        return _OPS[e.op](evaluate(e.left, env), evaluate(e.right, env))
+    if isinstance(e, Call):
+        return np.exp(evaluate(e.arg, env))
+    raise TypeError(f"not an expression node: {e!r}")
 
 
 def ev(text, **env):

@@ -4,11 +4,16 @@ Proves:
   1.  v_star implements c u1 (1-u1) / (beta D) with domain checks, and
       refuses degenerate diffusivities
   2.  solve_u2_profile reproduces closed-form slaved profiles: the
-      constant-D power law nu (1-u1)^(kappa beta D / c^2) (both via the
-      analytic shortcut and via the forced general ODE path) and the
+      constant-D power law nu (1-u1)^(kappa beta D / c^2) (via the
+      analytic shortcut, the substance curve and the per-(beta, c)
+      solve, each forced by an inert term) and the
       logistic form for D = 1 - u2, across random (kappa, nu, beta, c)
   3.  WaveProfile2 invariants: u2 starts at nu, decays monotonically to
-      0, stays inside [0, nu], and is continuous across the tail seam
+      0, stays inside [0, nu], and is continuous across the tail seam;
+      for D = D(u2) the profile read off the model's one substance curve
+      matches a direct DOP853 solve, does not depend on which (beta, c)
+      was asked first, and a D that vanishes at u2 = 0 or stalls the
+      substance is refused
   4.  G(beta; c) by quadrature matches the Gamma-function closed form
       for the crowding model on a (lambda, kappa, beta) grid, including
       through the general ODE path, and G(2; c) = 2(1 - lambda) exactly
@@ -16,7 +21,8 @@ Proves:
       implicit speed to the linear speed 2 sqrt(1 - nu) attained at the
       boundary
   6.  solve_implicit_speed converges with honest residuals, never
-      undercuts the linear speed, and reports epsilon = kappa nu / c
+      undercuts the linear speed, reports epsilon = kappa nu / c, and
+      reproduces pinned ecm_b, ecm_c and general-D speeds to 1e-8
   7.  The adjoint quadrature matches the hand-derived co-state integral
       lambda * integral q phi u2 dq for the crowding model
   8.  pontryagin_residual vanishes for decoupled models and stays within
@@ -28,6 +34,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from wavebound._quad import quad
 from wavebound.errors import ConfigError, DegenerateDiffusionError
@@ -46,11 +53,13 @@ from wavebound.twospecies import (
 )
 
 
-def crowding_model(lam, kappa, nu=1.0, force_ode=False):
-    """D = 1, f = u1 (1 - u1 - lam u2).  force_ode defeats the constant-D
-    shortcut with a structurally-present, numerically-inert u2 term."""
+def crowding_model(lam, kappa, nu=1.0, force_ode=None):
+    """D = 1, f = u1 (1 - u1 - lam u2).  force_ode names a variable ("u2"
+    or "u1") whose structurally-present, numerically-inert term defeats
+    the constant-D shortcut: "u2" takes the substance-curve route, "u1"
+    the per-(beta, c) profile solve."""
     return TwoSpeciesModel(
-        "1 + 0*u2" if force_ode else "1",
+        f"1 + 0*{force_ode}" if force_ode else "1",
         "u1*(1 - u1 - lambda*u2)",
         kappa=kappa,
         nu=nu,
@@ -119,14 +128,15 @@ def test_constant_D_profile_is_power_law():
 
 def test_forced_ode_path_matches_power_law():
     probe = np.linspace(0.0, 1.0, 201)
-    for kappa, beta, c in [(0.7, 0.9, 1.1), (2.5, 1.4, 0.8)]:
-        m = crowding_model(0.5, kappa, force_ode=True)
-        assert m.D_vars == {"u2"}  # confirms the general path is exercised
-        prof = solve_u2_profile(m, beta, c)
-        eta = kappa * beta / (c * c)
-        np.testing.assert_allclose(
-            prof.u2_at(probe), exact_power_law(1.0, eta, probe), atol=1e-8
-        )
+    for var in ("u2", "u1"):
+        for kappa, beta, c in [(0.7, 0.9, 1.1), (2.5, 1.4, 0.8)]:
+            m = crowding_model(0.5, kappa, force_ode=var)
+            assert m.D_vars == {var}  # confirms which route is exercised
+            prof = solve_u2_profile(m, beta, c)
+            eta = kappa * beta / (c * c)
+            np.testing.assert_allclose(
+                prof.u2_at(probe), exact_power_law(1.0, eta, probe), atol=1e-8
+            )
 
 
 def test_ecm_profile_is_logistic():
@@ -166,6 +176,55 @@ def test_profile_tail_seam_continuity():
     assert just_outside == pytest.approx(just_inside, abs=1e-9)
 
 
+def _reference_ecm_b_profile(kappa, nu, beta, c, u1):
+    """du2/dw = -eta u2 (1 - u2) in w = -ln(1 - u1), solved directly."""
+    eta = kappa * beta / (c * c)
+    w = -np.log1p(-u1)
+    sol = solve_ivp(
+        lambda _, y: -eta * y * (1.0 - y),
+        (0.0, w[-1]),
+        [nu],
+        method="DOP853",
+        t_eval=w,
+        rtol=1e-12,
+        atol=1e-16,
+    )
+    return sol.y[0]
+
+
+def test_substance_curve_matches_direct_solve():
+    # D = 1 - u2 depends on u2 only, so every (beta, c) is read off one
+    # substance curve per model
+    kappa, nu = 10.0, 0.5
+    m = make_preset("ecm_b", {"kappa": kappa, "nu": nu})
+    u1 = np.linspace(0.0, 1.0 - 1e-8, 801)
+    for beta, c in [(0.2, 1.4), (1.1, 1.25), (1.9, 0.9)]:
+        prof = solve_u2_profile(m, beta, c)
+        want = _reference_ecm_b_profile(kappa, nu, beta, c, u1)
+        np.testing.assert_allclose(prof.u2_at(u1), want, rtol=0, atol=1e-9)
+
+
+def test_substance_curve_is_order_independent():
+    probe = np.linspace(0.0, 1.0, 513)
+    first, second = (1.3, 1.2), (0.4, 2.1)
+    fresh = make_preset("ecm_b", {"kappa": 10.0, "nu": 0.5})
+    want = solve_u2_profile(fresh, *first).u2_at(probe)
+    used = make_preset("ecm_b", {"kappa": 10.0, "nu": 0.5})
+    solve_u2_profile(used, *second).u2_at(probe)
+    got = solve_u2_profile(used, *first).u2_at(probe)
+    np.testing.assert_array_equal(got, want)
+
+
+def test_substance_curve_rejects_degenerate_diffusivity():
+    # no decay rate far behind the front: D(u2 = 0) = 0
+    no_rate = TwoSpeciesModel("u2", "u1*(1 - u1)", kappa=1.0, nu=0.5)
+    # D(nu) = 0 holds the substance at nu for ever
+    stalled = TwoSpeciesModel("0.5 - u2", "u1*(1 - u1)", kappa=1.0, nu=0.5)
+    for m in (no_rate, stalled):
+        with pytest.raises(DegenerateDiffusionError):
+            solve_u2_profile(m, 1.0, 1.0)
+
+
 def test_decoupled_profile_is_flat():
     m = make_preset("ecm_c", {"kappa": 0.0, "nu": 0.5})
     prof = solve_u2_profile(m, 1.0, 1.0)
@@ -193,10 +252,11 @@ def test_G_matches_closed_form_on_grid():
 
 def test_G_closed_form_through_ode_path():
     lam, kappa, c = 0.4, 1.5, 1.2
-    m = crowding_model(lam, kappa, force_ode=True)
-    for beta in (0.5, 1.2, 1.8):
-        want = landman_G_closed(beta, lam, kappa, c)
-        assert G_of_beta(m, beta, c) == pytest.approx(want, rel=1e-7)
+    for var in ("u2", "u1"):
+        m = crowding_model(lam, kappa, force_ode=var)
+        for beta in (0.5, 1.2, 1.8):
+            want = landman_G_closed(beta, lam, kappa, c)
+            assert G_of_beta(m, beta, c) == pytest.approx(want, rel=1e-7), var
 
 
 def test_G_boundary_value_is_exact():
@@ -260,6 +320,28 @@ def test_implicit_solve_invariants():
         assert res.c_linear == pytest.approx(linear_speed_two_species(m), rel=1e-14)
         assert res.epsilon == pytest.approx(m.kappa * m.nu / res.c, rel=1e-14)
         assert 0.0 < res.beta_star <= 2.0
+
+
+# speeds from the per-(beta, c) RK45 profile solves this replaced; the
+# substance curve and DOP853 must reproduce them
+@pytest.mark.parametrize(
+    "model, want",
+    [
+        (make_preset("ecm_b", {"kappa": 10.0, "nu": 0.5}), 1.2482489223272415),
+        (make_preset("ecm_c", {"kappa": 10.0, "nu": 0.5}), 1.4528080093876643),
+        (
+            TwoSpeciesModel(
+                "1 + 0.5*u1 - u2", "u1*(1 - u1 - u2)", kappa=1.05, nu=0.5
+            ),
+            1.0076673569649341,
+        ),
+    ],
+    ids=["ecm_b", "ecm_c", "general_D"],
+)
+def test_implicit_speed_regression_pins(model, want):
+    res = solve_implicit_speed(model)
+    assert res.converged
+    assert res.c == pytest.approx(want, rel=1e-8)
 
 
 def test_speed_solve_to_dict():
