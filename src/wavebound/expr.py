@@ -366,7 +366,8 @@ def compile_fn(
 
     Parameters are folded in as literals.  The result always broadcasts
     to the shape of the first array argument, so a constant diffusivity
-    still yields a full-size array.
+    still yields a full-size array.  An expression that uses the first
+    variable has that shape already and is returned unwrapped.
     """
     variables = tuple(variables)
     bound = substitute(e, params or {})
@@ -381,6 +382,8 @@ def compile_fn(
         )
     src = f"lambda {', '.join(variables)}: {_pycode(bound)}"
     raw = eval(src, {"np": np, "__builtins__": {}})  # noqa: S307 - own codegen
+    if variables and variables[0] in variables_of(bound):
+        return raw
 
     def fn(*args: np.ndarray) -> np.ndarray:
         out = raw(*args)

@@ -16,14 +16,20 @@ s(t) itself is fitted.  The scheme is conservative-flux with
 arithmetic-mean face diffusivities and an explicit step at one fifth of
 the diffusive limit, which keeps degenerate-diffusivity fronts sharp
 without a nonlinear solver.
+
+All three run one time loop, ``_march``: it picks the step, samples about
+240 times (snapshots, blow-up guard, density range, front series), and
+fits the speed.  Each simulator supplies only its physics: a dt limit,
+the initial fields, one explicit ``step`` and a front locator.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import asdict, dataclass
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,6 +50,9 @@ _MIN_CELLS = 200
 _CFL = 0.2
 _TARGET_SAMPLES = 240
 _BLOWUP = 10.0
+
+# the per-species profiles one simulator advances; the first is tracked
+Fields = Tuple[np.ndarray, ...]
 
 
 @dataclass(frozen=True)
@@ -94,17 +103,7 @@ class SimConfig:
                 )
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "L": self.L,
-            "dx": self.dx,
-            "T": self.T,
-            "dt": self.dt,
-            "snapshot_times": list(self.snapshot_times),
-            "ic_kind": self.ic_kind,
-            "ic_width": self.ic_width,
-            "ic_value": self.ic_value,
-            "level": self.level,
-        }
+        return {**asdict(self), "snapshot_times": list(self.snapshot_times)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,63 +234,83 @@ def _steps(cfg: SimConfig, dt_limit: float) -> Tuple[float, int]:
     return cfg.T / n_steps, n_steps
 
 
-class _Sampler:
-    """Shared bookkeeping: front sampling, snapshots, blow-up guard."""
+def _march(
+    cfg: SimConfig,
+    x: np.ndarray,
+    dt_limit: float,
+    fields: Fields,
+    step: Callable[[Fields, float], Tuple[Fields, float]],
+    front: Callable[[Fields], Optional[float]],
+) -> SimResult:
+    """The one time loop: ``step(fields, dt)`` returns the next fields and
+    its ratio dt max(D)/dx^2.  Step 0, every ``n_steps // 240``-th step and
+    the last are sampled: blow-up guard and range on the first field, and
+    ``front(fields)`` into the front series unless it is None.  Each
+    snapshot copies every field at the step nearest its time."""
+    dt, n_steps = _steps(cfg, dt_limit)
+    every = max(1, n_steps // _TARGET_SAMPLES)
+    snap_steps: Dict[int, List[float]] = {}
+    for t in cfg.snapshot_times:
+        snap_steps.setdefault(min(n_steps, int(round(t / dt))), []).append(t)
+    snapshots: Dict[float, Fields] = {}
+    series: List[Tuple[float, float]] = []
+    min_density, max_density, max_cfl = math.inf, -math.inf, 0.0
 
-    def __init__(self, cfg: SimConfig, x: np.ndarray, dt: float, n_steps: int):
-        self.cfg = cfg
-        self.x = x
-        self.dt = dt
-        self.every = max(1, n_steps // _TARGET_SAMPLES)
-        self.snap_steps = {
-            min(n_steps, int(round(t / dt))): t for t in cfg.snapshot_times
-        }
-        self.snapshots: Dict[float, Tuple[np.ndarray, ...]] = {}
-        self.series: List[Tuple[float, float]] = []
-        self.min_density = math.inf
-        self.max_density = -math.inf
-        self.max_cfl = 0.0
-        self.limit = cfg.L - 10.0 * cfg.dx
-
-    def observe_cfl(self, ratio: float) -> None:
-        if ratio > self.max_cfl:
-            self.max_cfl = ratio
-
-    def visit(self, k: int, n_steps: int, fields: Tuple[np.ndarray, ...]) -> None:
-        if k in self.snap_steps:
-            self.snapshots[self.snap_steps[k]] = tuple(f.copy() for f in fields)
-        if k % self.every and k != n_steps:
-            return
+    for k in range(n_steps + 1):
+        if k:
+            fields, ratio = step(fields, dt)
+            max_cfl = max(max_cfl, ratio)
+        if k in snap_steps:
+            copies = tuple(f.copy() for f in fields)
+            snapshots.update(dict.fromkeys(snap_steps[k], copies))
+        if k % every and k != n_steps:
+            continue
         rho = fields[0]
         lo = float(np.min(rho))
         hi = float(np.max(rho))
         if not (np.isfinite(lo) and np.isfinite(hi)) or max(abs(lo), abs(hi)) > _BLOWUP:
             raise InstabilityError(
-                f"density left [-{_BLOWUP}, {_BLOWUP}] at t = {k * self.dt:.4g}; "
+                f"density left [-{_BLOWUP}, {_BLOWUP}] at t = {k * dt:.4g}; "
                 "the explicit step is unstable for this configuration"
             )
-        self.min_density = min(self.min_density, lo)
-        self.max_density = max(self.max_density, hi)
-        try:
-            X = _level_crossing(self.x, rho, self.cfg.level)
-        except FrontTrackingError:
-            return
-        if X < self.limit:
-            self.series.append((k * self.dt, X))
+        min_density = min(min_density, lo)
+        max_density = max(max_density, hi)
+        X = front(fields)
+        if X is not None:
+            series.append((k * dt, X))
 
-    def finish(self, config: SimConfig) -> SimResult:
-        fitted, resid = _fit_front(self.series, 0.5 * config.T, config.T)
-        return SimResult(
-            x_grid=self.x,
-            snapshots=self.snapshots,
-            front_series=np.array(self.series).reshape(-1, 2),
-            fitted_speed=fitted,
-            fit_residual=resid,
-            stability_report=self.max_cfl,
-            min_density=self.min_density,
-            max_density=self.max_density,
-            config=config,
-        )
+    fitted, resid = _fit_front(series, 0.5 * cfg.T, cfg.T)
+    return SimResult(
+        x_grid=x,
+        snapshots=snapshots,
+        front_series=np.array(series).reshape(-1, 2),
+        fitted_speed=fitted,
+        fit_residual=resid,
+        stability_report=max_cfl,
+        min_density=min_density,
+        max_density=max_density,
+        config=cfg,
+    )
+
+
+def _level_front(cfg: SimConfig, x: np.ndarray, fields: Fields) -> Optional[float]:
+    """Where the first field crosses ``cfg.level``; None when it does not
+    cross exactly once or lies within ten cells of x = L."""
+    try:
+        X = _level_crossing(x, fields[0], cfg.level)
+    except FrontTrackingError:
+        return None
+    return X if X < cfg.L - 10.0 * cfg.dx else None
+
+
+def _flux_divergence(rho: np.ndarray, Dc: np.ndarray, dx2: float) -> np.ndarray:
+    """(D rho_x)_x with arithmetic-mean face diffusivities, zero-flux ends."""
+    flux = 0.5 * (Dc[1:] + Dc[:-1]) * (rho[1:] - rho[:-1])
+    rhs = np.empty_like(rho)
+    rhs[1:-1] = (flux[1:] - flux[:-1]) / dx2
+    rhs[0] = flux[0] / dx2
+    rhs[-1] = -flux[-1] / dx2
+    return rhs
 
 
 def simulate_scalar(model: ScalarModel, cfg: SimConfig) -> SimResult:
@@ -307,26 +326,17 @@ def simulate_scalar(model: ScalarModel, cfg: SimConfig) -> SimResult:
 
     probe = np.linspace(0.0, 1.0, 257)
     D_max = float(np.max(D_fn(probe)))
-    dt, n_steps = _steps(cfg, _CFL * dx2 / max(1e-12, D_max))
 
-    rho = _initial_profile(cfg, x)
-    sampler = _Sampler(cfg, x, dt, n_steps)
-    sampler.visit(0, n_steps, (rho,))
+    def step(fields: Fields, dt: float) -> Tuple[Fields, float]:
+        (rho,) = fields
+        Dc = D_fn(rho)
+        new = rho + dt * (_flux_divergence(rho, Dc, dx2) + f_fn(rho))
+        return (new,), dt * float(np.max(Dc)) / dx2
 
-    for k in range(1, n_steps + 1):
-        Dc = np.asarray(D_fn(rho), dtype=float)
-        if Dc.ndim == 0:
-            Dc = np.full_like(rho, float(Dc))
-        sampler.observe_cfl(dt * float(np.max(Dc)) / dx2)
-        flux = 0.5 * (Dc[1:] + Dc[:-1]) * (rho[1:] - rho[:-1])
-        rhs = np.empty_like(rho)
-        rhs[1:-1] = (flux[1:] - flux[:-1]) / dx2
-        rhs[0] = flux[0] / dx2
-        rhs[-1] = -flux[-1] / dx2
-        rho = rho + dt * (rhs + f_fn(rho))
-        sampler.visit(k, n_steps, (rho,))
-
-    return sampler.finish(cfg)
+    return _march(
+        cfg, x, _CFL * dx2 / max(1e-12, D_max), (_initial_profile(cfg, x),),
+        step, partial(_level_front, cfg, x),
+    )
 
 
 def simulate_two_species(model: TwoSpeciesModel, cfg: SimConfig) -> SimResult:
@@ -346,29 +356,18 @@ def simulate_two_species(model: TwoSpeciesModel, cfg: SimConfig) -> SimResult:
     dt_limit = _CFL * dx2 / max(1e-12, D_max)
     if kappa > 0.0:
         dt_limit = min(dt_limit, _CFL / kappa)
-    dt, n_steps = _steps(cfg, dt_limit)
 
-    rho1 = _initial_profile(cfg, x)
-    rho2 = np.full_like(x, nu)
-    sampler = _Sampler(cfg, x, dt, n_steps)
-    sampler.visit(0, n_steps, (rho1, rho2))
+    def step(fields: Fields, dt: float) -> Tuple[Fields, float]:
+        rho1, rho2 = fields
+        Dc = D_fn(rho1, rho2)
+        new1 = rho1 + dt * (_flux_divergence(rho1, Dc, dx2) + f_fn(rho1, rho2))
+        new2 = rho2 - dt * kappa * rho1 * rho2
+        return (new1, new2), dt * float(np.max(Dc)) / dx2
 
-    for k in range(1, n_steps + 1):
-        Dc = np.asarray(D_fn(rho1, rho2), dtype=float)
-        if Dc.ndim == 0:
-            Dc = np.full_like(rho1, float(Dc))
-        sampler.observe_cfl(dt * float(np.max(Dc)) / dx2)
-        flux = 0.5 * (Dc[1:] + Dc[:-1]) * (rho1[1:] - rho1[:-1])
-        rhs = np.empty_like(rho1)
-        rhs[1:-1] = (flux[1:] - flux[:-1]) / dx2
-        rhs[0] = flux[0] / dx2
-        rhs[-1] = -flux[-1] / dx2
-        new1 = rho1 + dt * (rhs + f_fn(rho1, rho2))
-        rho2 = rho2 - dt * kappa * rho1 * rho2
-        rho1 = new1
-        sampler.visit(k, n_steps, (rho1, rho2))
-
-    return sampler.finish(cfg)
+    return _march(
+        cfg, x, dt_limit, (_initial_profile(cfg, x), np.full_like(x, nu)),
+        step, partial(_level_front, cfg, x),
+    )
 
 
 def simulate_fisher_stefan(kappa: float, cfg: SimConfig) -> SimResult:
@@ -385,20 +384,14 @@ def simulate_fisher_stefan(kappa: float, cfg: SimConfig) -> SimResult:
     x = _grid(cfg) - cfg.L  # y in [-L, 0]
     dx = cfg.dx
     dx2 = dx * dx
-    dt, n_steps = _steps(cfg, _CFL * dx2)
 
     rho = -np.expm1(x)  # 1 - e^y: 1 far behind, 0 at the boundary
+    rho[-1] = 0.0  # the boundary condition; expm1 gives -0.0 here
     s = 0.0
-    every = max(1, n_steps // _TARGET_SAMPLES)
-    series: List[Tuple[float, float]] = []
-    snap_steps = {
-        min(n_steps, int(round(t / dt))): t for t in cfg.snapshot_times
-    }
-    snapshots: Dict[float, Tuple[np.ndarray, ...]] = {}
-    min_density, max_density = math.inf, -math.inf
-    series.append((0.0, 0.0))
 
-    for k in range(1, n_steps + 1):
+    def step(fields: Fields, dt: float) -> Tuple[Fields, float]:
+        nonlocal s
+        (rho,) = fields
         sdot = -kappa * (-4.0 * rho[-2] + rho[-3]) / (2.0 * dx)
         rhs = (
             (rho[2:] - 2.0 * rho[1:-1] + rho[:-2]) / dx2
@@ -409,22 +402,12 @@ def simulate_fisher_stefan(kappa: float, cfg: SimConfig) -> SimResult:
         rho[0] = 1.0
         rho[-1] = 0.0
         s += dt * sdot
-        if k in snap_steps:
-            snapshots[snap_steps[k]] = (rho.copy(),)
-        if k % every == 0 or k == n_steps:
-            lo, hi = float(np.min(rho)), float(np.max(rho))
-            if not (np.isfinite(lo) and np.isfinite(hi)) or max(
-                abs(lo), abs(hi)
-            ) > _BLOWUP:
-                raise InstabilityError(
-                    f"density left [-{_BLOWUP}, {_BLOWUP}] at t = {k * dt:.4g}"
-                )
-            min_density = min(min_density, lo)
-            max_density = max(max_density, hi)
-            series.append((k * dt, s))
+        return fields, dt / dx2
 
-    fitted, resid = _fit_front(series, 0.5 * cfg.T, cfg.T)
-    late, _ = _fit_front(series, 0.75 * cfg.T, cfg.T)
+    res = _march(cfg, x, _CFL * dx2, (rho,), step, lambda fields: s)
+
+    fitted = res.fitted_speed
+    late, _ = _fit_front(res.front_series, 0.75 * cfg.T, cfg.T)
     if math.isfinite(fitted) and abs(fitted) > 1e-12:
         if abs(late - fitted) / abs(fitted) > 0.01:
             warnings.warn(
@@ -434,15 +417,4 @@ def simulate_fisher_stefan(kappa: float, cfg: SimConfig) -> SimResult:
                 RuntimeWarning,
                 stacklevel=2,
             )
-
-    return SimResult(
-        x_grid=x,
-        snapshots=snapshots,
-        front_series=np.array(series).reshape(-1, 2),
-        fitted_speed=fitted,
-        fit_residual=resid,
-        stability_report=dt / dx2,
-        min_density=min_density,
-        max_density=max_density,
-        config=cfg,
-    )
+    return res

@@ -14,8 +14,9 @@ Proves:
       compile_fn) matches direct arithmetic and raises ModelError on
       unbound names
   6.  compile_fn produces vectorised callables that broadcast constants
-      to the first argument's shape, and rejects stray variables and
-      unbound parameters
+      and expressions without the first variable to the first argument's
+      shape, keep the argument's shape otherwise, and reject stray
+      variables and unbound parameters
   7.  render emits text that re-parses to the identical tree (property
       test over random trees)
 """
@@ -220,6 +221,21 @@ def test_compile_fn_broadcasts_constants():
     out = fn(np.zeros(5))
     assert out.shape == (5,)
     assert np.all(out == 1.0)
+
+
+def test_compile_fn_broadcasts_without_first_variable():
+    fn = compile_fn(parse("1 - u2", ("u1", "u2")), variables=("u1", "u2"))
+    u = np.linspace(0.0, 1.0, 5)
+    np.testing.assert_array_equal(fn(u, 0.25), np.full(5, 0.75))
+    np.testing.assert_array_equal(fn(0.5, u), 1.0 - u)
+
+
+def test_compile_fn_keeps_argument_shape():
+    fn = compile_fn(parse("u1*(1 - u1)", ("u1", "u2")), variables=("u1", "u2"))
+    u = np.linspace(0.0, 1.0, 6).reshape(2, 3)
+    np.testing.assert_array_equal(fn(u, 0.5), u * (1.0 - u))
+    assert fn(u, np.zeros(3)).shape == (2, 3)
+    assert np.ndim(fn(0.5, 0.0)) == 0
 
 
 def test_compile_fn_rejects_stray_names():

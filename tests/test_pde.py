@@ -17,14 +17,18 @@ Proves:
   6.  Two-species runs: the substance field decays monotonically in time
       and stays inside [0, nu]
   7.  An oversized explicit step trips InstabilityError rather than
-      returning numbers
+      returning numbers, in every simulator
   8.  The moving-boundary run matches its independent references: speed
       within half a percent of the benchmark at kappa = 0.5, the
       small-kappa run lands within 10% of kappa/sqrt(3) while staying
       above the variational bound, and a too-short run warns that the
       boundary speed has not plateaued
-  9.  Snapshot and CSV output: requested times are captured and the
+  9.  Snapshot and CSV output: requested times are captured (t = 0 and
+      t = T in every simulator, and times that fall on one step) and the
       writers produce parseable files with the documented headers
+ 10.  One short run per simulator reproduces its pinned speed, residual,
+      density range and step ratio to 1e-12, and an uncoupled two-species
+      run is bit-for-bit the scalar run
 """
 
 import math
@@ -38,6 +42,7 @@ from wavebound import (
     InstabilityError,
     ScalarModel,
     SimConfig,
+    TwoSpeciesModel,
     estimate_speed,
     fisher_stefan_bound,
     make_preset,
@@ -45,6 +50,15 @@ from wavebound import (
     simulate_scalar,
     simulate_two_species,
 )
+
+_ECM_C = make_preset("ecm_c", {"kappa": 1.0, "nu": 0.5})
+
+# one constructor per simulator, for the tests every simulator must pass
+_SIMULATORS = {
+    "scalar": lambda cfg: simulate_scalar(make_preset("fisher_kpp"), cfg),
+    "two_species": lambda cfg: simulate_two_species(_ECM_C, cfg),
+    "stefan": lambda cfg: simulate_fisher_stefan(0.5, cfg),
+}
 
 # -- 1. front tracking on synthetic data ---------------------------------
 
@@ -161,9 +175,8 @@ def test_logistic_speed_grid_converged():
 
 
 def test_substance_decays_monotonically():
-    model = make_preset("ecm_c", {"kappa": 1.0, "nu": 0.5})
     cfg = SimConfig(L=60.0, dx=0.25, T=15.0, snapshot_times=(5.0, 10.0, 15.0))
-    res = simulate_two_species(model, cfg)
+    res = simulate_two_species(_ECM_C, cfg)
     snaps = [res.snapshots[t] for t in (5.0, 10.0, 15.0)]
     for fields in snaps:
         rho1, rho2 = fields
@@ -177,11 +190,19 @@ def test_substance_decays_monotonically():
 # -- 7. stability guard -----------------------------------------------------
 
 
-def test_oversized_step_raises():
-    model = make_preset("fisher_kpp")
-    cfg = SimConfig(L=40.0, dx=0.2, T=5.0, dt=0.1)
-    with pytest.raises(InstabilityError):
-        simulate_scalar(model, cfg)
+@pytest.mark.parametrize(
+    "name, dx, dt, at",
+    [
+        ("scalar", 0.2, 0.1, "0.2;"),
+        ("two_species", 0.2, 0.1, "0.3;"),
+        ("stefan", 0.1, 0.05, "0.2;"),
+    ],
+    ids=["scalar", "two_species", "stefan"],
+)
+def test_oversized_step_raises(name, dx, dt, at):
+    cfg = SimConfig(L=40.0, dx=dx, T=5.0, dt=dt)
+    with pytest.raises(InstabilityError, match=f"at t = {at}"):
+        _SIMULATORS[name](cfg)
 
 
 # -- 8. moving-boundary runs ------------------------------------------------
@@ -242,10 +263,63 @@ def test_snapshots_and_csv_writers(tmp_path):
 
 
 def test_two_species_profiles_csv(tmp_path):
-    model = make_preset("ecm_c", {"kappa": 1.0, "nu": 0.5})
     cfg = SimConfig(L=50.0, dx=0.25, T=3.0, snapshot_times=(3.0,))
-    res = simulate_two_species(model, cfg)
+    res = simulate_two_species(_ECM_C, cfg)
     path = tmp_path / "two.csv"
     res.write_profiles_csv(str(path))
     header = path.read_text().splitlines()[0]
     assert header == "x,rho_s1_t3,rho_s2_t3"
+
+
+@pytest.mark.parametrize("name", sorted(_SIMULATORS))
+def test_snapshots_at_start_and_end(name):
+    cfg = SimConfig(L=40.0, dx=0.2, T=2.0, snapshot_times=(0.0, 1.0, 2.0))
+    res = _SIMULATORS[name](cfg)
+    assert set(res.snapshots) == set(cfg.snapshot_times)
+
+
+def test_snapshot_times_on_one_step_all_kept():
+    # dt = 0.002 here, so both times round to step 250
+    cfg = SimConfig(L=30.0, dx=0.1, T=1.0, snapshot_times=(0.5, 0.5001))
+    res = simulate_scalar(make_preset("fisher_kpp"), cfg)
+    assert set(res.snapshots) == {0.5, 0.5001}
+    np.testing.assert_array_equal(res.snapshots[0.5][0], res.snapshots[0.5001][0])
+
+
+# -- 10. pinned runs and cross-simulator agreement ---------------------------
+
+
+# (fitted_speed, fit_residual, min_density, max_density, stability_report)
+# of one short run per simulator; a refactor of the time loop must keep them
+@pytest.mark.parametrize(
+    "name, T, want",
+    [
+        ("scalar", 6.0,
+         (1.7214037643386106, 0.012992451702329587, 0.0, 1.0, 0.19999999999999996)),
+        ("two_species", 6.0,
+         (1.2524770352977213, 0.007068926046690839, 0.0, 1.0, 0.1997508797245883)),
+        ("stefan", 8.0,
+         (0.22430493438127944, 0.00012427029727396293, 0.0, 1.0, 0.19999999999999996)),
+    ],
+    ids=["scalar", "two_species", "stefan"],
+)
+def test_short_run_pinned(name, T, want):
+    res = _SIMULATORS[name](SimConfig(L=40.0, dx=0.2, T=T))
+    got = (res.fitted_speed, res.fit_residual, res.min_density,
+           res.max_density, res.stability_report)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    # the Stefan profile starts as -expm1(0) = -0.0 at the boundary
+    assert math.copysign(1.0, res.min_density) == 1.0
+
+
+def test_uncoupled_two_species_is_the_scalar_run():
+    cfg = SimConfig(L=40.0, dx=0.2, T=6.0, snapshot_times=(3.0,))
+    two = simulate_two_species(
+        TwoSpeciesModel("1", "u1*(1 - u1)", kappa=0.0, nu=0.5), cfg
+    )
+    one = simulate_scalar(make_preset("fisher_kpp"), cfg)
+    np.testing.assert_array_equal(two.front_series, one.front_series)
+    np.testing.assert_array_equal(two.snapshots[3.0][0], one.snapshots[3.0][0])
+    for attr in ("fitted_speed", "fit_residual", "min_density",
+                 "max_density", "stability_report"):
+        assert getattr(two, attr) == getattr(one, attr), attr
