@@ -24,13 +24,16 @@ Two layers live here:
   underflows (u = s**q is 0.0 in double precision over much of the s-range
   when q ~ 1000), so u and 1 - u are formed from q*log(s) with exp/expm1
   and ``g`` must tolerate u == 0.0 exactly.
+
+A ``FrozenBetaMesh`` caches g, log(s) and 1 - u on its GK15 nodes, so
+``beta_weighted_on_mesh`` only forms the weights, for one beta or an array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -87,13 +90,18 @@ _K15_WEIGHTS = np.concatenate((_WGK[:7], [_WGK[7]], _WGK[6::-1]))
 _G7_WEIGHTS = np.array([_WG[0], _WG[1], _WG[2], _WG[3], _WG[2], _WG[1], _WG[0]])
 
 
+def _nodes(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """GK15 abscissae, one row per panel [a_i, b_i], and the half-widths."""
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    return mid[:, None] + half[:, None] * _K15_NODES[None, :], half
+
+
 def _eval_panels(
     f: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Kronrod value and |K15 - G7| error estimate for each panel [a_i, b_i]."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    x = mid[:, None] + half[:, None] * _K15_NODES[None, :]
+    x, half = _nodes(a, b)
     y = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
     if not np.all(np.isfinite(y)):
         bad = x.ravel()[~np.isfinite(y.ravel())][0]
@@ -206,17 +214,22 @@ def quad_on_mesh(
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrozenBetaMesh:
     """A substitution exponent q and an s-partition, reusable across beta.
 
     Freezing both makes the integral a smooth function of beta on a
     bracket, at the cost of the error estimate being tied to the beta the
-    mesh was adapted for.
+    mesh was adapted for.  g(u), log(s) and 1 - u are cached on the GK15
+    nodes (one row per panel, ``half`` the half-widths) when it is built.
     """
 
     q: int
     breakpoints: np.ndarray
+    half: np.ndarray
+    log_s: np.ndarray
+    g: np.ndarray
+    one_minus_u: np.ndarray
 
 
 def _q_for(beta: float) -> int:
@@ -349,13 +362,29 @@ def frozen_beta_mesh(
         limit=limit,
         points=_seed_points(q),
     )
-    return FrozenBetaMesh(q=q, breakpoints=mesh)
+    x, half = _nodes(mesh[:-1], mesh[1:])
+    log_s = np.log(x)
+    log_u = q * log_s
+    g_u = np.broadcast_to(np.asarray(g(np.exp(log_u)), dtype=float), x.shape)
+    return FrozenBetaMesh(q, mesh, half, log_s, g_u, -np.expm1(log_u))
 
 
 def beta_weighted_on_mesh(
-    g: Callable[[np.ndarray], np.ndarray], beta: float, mesh: FrozenBetaMesh
-) -> float:
-    """The beta-weighted integral evaluated on a frozen substitution mesh."""
-    beta = _check_beta(beta)
-    value, _ = quad_on_mesh(_substituted(g, beta, mesh.q), mesh.breakpoints)
-    return value
+    g: Callable[[np.ndarray], np.ndarray],
+    beta: Union[float, np.ndarray],
+    mesh: FrozenBetaMesh,
+) -> Union[float, np.ndarray]:
+    """The beta-weighted integral on a frozen mesh, from its cached g (the
+    ``g`` it was built from).  A scalar beta repeats the operations of
+    ``_substituted`` and ``_eval_panels``, so it equals ``quad_on_mesh``
+    bit for bit; a 1-D array gives one value per beta in one broadcast."""
+    scalar = np.ndim(beta) == 0
+    if scalar:
+        b = _check_beta(beta)
+    else:
+        b = np.array([_check_beta(x) for x in beta])[:, None, None]
+    q = mesh.q
+    y = q * np.exp((q * (2.0 - b) - 1.0) * mesh.log_s) * mesh.g
+    y *= mesh.one_minus_u**b
+    vals = (mesh.half * (y @ _K15_WEIGHTS)).sum(axis=-1)
+    return float(vals) if scalar else vals

@@ -30,7 +30,6 @@ from math import expm1, log, sqrt
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from ._quad import beta_weighted_integral, quad
 from ._search import golden_max
@@ -175,6 +174,8 @@ class _SubstanceCurve:
     _T_CAP = 1e6
 
     def __init__(self, model: TwoSpeciesModel) -> None:
+        from scipy.integrate import solve_ivp  # deferred: slow to import
+
         D_fn, nu = model.D_fn, model.nu
         self.rate = float(D_fn(0.0, 0.0))
         if self.rate <= 1e-14:
@@ -319,6 +320,8 @@ def solve_u2_profile(model: TwoSpeciesModel, beta: float, c: float) -> WaveProfi
         return _closed_profile(
             model, beta, c, lambda w: curve(coef * w), coef * curve.rate
         )
+
+    from scipy.integrate import solve_ivp  # deferred: slow to import
 
     D_fn = model.D_fn
 

@@ -25,13 +25,14 @@ ds/dt = -kappa rho_x.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, lgamma, sqrt
+from math import exp, isfinite, lgamma, sqrt
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
 from ._quad import (
     _probe_divergence,
+    _q_for,
     beta_weighted_integral,
     beta_weighted_on_mesh,
     frozen_beta_mesh,
@@ -106,10 +107,15 @@ def F_of_beta(
     _g: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     _probe: bool = True,
 ) -> float:
-    """The bound objective F(beta) = beta N(beta) / B(2-beta, 2+beta)."""
+    """The bound objective F(beta) = beta N(beta) / B(2-beta, 2+beta);
+    0 at beta = 0 and ``F_limit_beta2`` at beta = 2."""
     beta = float(beta)
+    if not 0.0 <= beta <= 2.0:
+        raise ConfigError(f"beta must lie in [0, 2], got {beta}")
     if beta == 0.0:
         return 0.0
+    if beta == 2.0:
+        return F_limit_beta2(model)
     g = _g if _g is not None else model.DR_fn()
     N = beta_weighted_integral(g, beta, probe=_probe)
     return beta * N / _beta(2.0 - beta, 2.0 + beta)
@@ -123,6 +129,22 @@ def F_limit_beta2(model: ScalarModel) -> float:
 def linear_speed(model: ScalarModel) -> float:
     """c_linear = 2 sqrt(D(0) f'(0)), clamped to 0 for degenerate fronts."""
     return 2.0 * sqrt(max(0.0, model.D0 * model.fprime0))
+
+
+def _grid_values(
+    g: Callable[[np.ndarray], np.ndarray],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """F on the beta grid, grouped by substitution exponent q (15 groups):
+    one mesh frozen at each group's largest beta, one array call each."""
+    betas = np.linspace(_BETA_LO, _BETA_HI, _GRID_SIZE)
+    qs = np.array([_q_for(b) for b in betas])
+    values = np.empty_like(betas)
+    for q in np.unique(qs):
+        in_group = qs == q
+        group = betas[in_group]
+        N = beta_weighted_on_mesh(g, group, frozen_beta_mesh(g, group[-1]))
+        values[in_group] = group * N / [_beta(2.0 - b, 2.0 + b) for b in group]
+    return betas, values
 
 
 def _interior_max(
@@ -143,8 +165,7 @@ def _interior_max(
     bisects the Richardson-extrapolated central difference F'(beta) to
     a ~1e-11 bracket, which value noise does not limit.
     """
-    betas = np.linspace(_BETA_LO, _BETA_HI, _GRID_SIZE)
-    values = np.array([F_of_beta(model, b, _g=g, _probe=False) for b in betas])
+    betas, values = _grid_values(g)
     i = int(np.argmax(values))
     lo = float(betas[max(i - 1, 0)])
     hi = float(betas[min(i + 1, len(betas) - 1)])
@@ -189,7 +210,13 @@ def sup_F(model: ScalarModel, xtol: float = 1e-9) -> BoundResult:
     than 1e-7, "pulled" when the boundary wins by the same margin, and
     "indeterminate" inside the band (with attained_at_boundary = True
     whenever the boundary value is within 1e-9 of the winner).
+
+    ``xtol`` (finite, > 0) stops the final bisection of F'(beta) = 0 once
+    its bracket is narrower than max(xtol / 100, 1e-12), so values below
+    1e-10 change nothing; the golden section before it stops at 1e-6.
     """
+    if not (isfinite(xtol) and xtol > 0.0):
+        raise ConfigError(f"xtol must be finite and > 0, got {xtol}")
     g = model.DR_fn()
     _probe_divergence(g, _BETA_HI)
     beta_int, F_int = _interior_max(model, g, xtol)

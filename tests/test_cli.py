@@ -31,11 +31,15 @@ Proves:
     match frozen text byte for byte.
  8. Worker-pool sizing honours WAVEBOUND_THREADS, rejects a non-integer
     value, and never exceeds the number of sweep points.
+ 9. Importing the package and its CLI leaves ``scipy.integrate`` unloaded:
+    only a coupled op that solves an ODE pays for it.
 """
 
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -243,6 +247,16 @@ def test_every_package_error_has_an_exit_code():
             if obj is errors.WaveboundError:
                 continue
             assert any(c in cli._EXIT_CODES for c in obj.__mro__), obj.__name__
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = "import sys, wavebound, wavebound.cli; print('scipy.integrate' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_version_flag(capsys):

@@ -15,6 +15,11 @@ Proves:
   7.  A mesh frozen at one exponent re-evaluates nearby exponents to
       1e-9 relative accuracy
   8.  quad_on_mesh over an adapted partition matches quad
+  9.  beta_weighted_on_mesh, which reads g from the mesh's node cache,
+      equals the uncached quad_on_mesh sweep bit for bit at a scalar
+      beta, and an array of betas matches the scalar calls to 1e-13;
+      a g that is not finite on the mesh raises QuadratureError, and so
+      does a beta outside [0, 2) in the array
 """
 
 import math
@@ -25,6 +30,7 @@ from scipy.integrate import quad as scipy_quad
 from scipy.special import beta as beta_fn
 
 from wavebound._quad import (
+    _substituted,
     adaptive_mesh,
     beta_weighted_integral,
     beta_weighted_on_mesh,
@@ -129,3 +135,46 @@ def test_quad_on_mesh_matches_quad():
     direct, _ = quad(f, 0.0, 3.0, epsabs=1e-13, epsrel=1e-13)
     onmesh, _ = quad_on_mesh(f, mesh)
     assert onmesh == pytest.approx(direct, rel=1e-12)
+
+
+_MESH_CASES = [
+    (lambda u: (1.0 - u) * (1.0 + 0.3 * u), (0.4, 1.0, 1.4, 1.9, 1.995)),
+    (lambda u: np.sqrt(u) + 0.2 * np.cos(5.0 * u), (0.1, 1.3, 1.7, 1.99)),
+]
+
+
+def test_cached_mesh_equals_uncached_sweep_bitwise():
+    for g, centers in _MESH_CASES:
+        for center in centers:
+            mesh = frozen_beta_mesh(g, center)
+            for b in (center - 0.02, center - 1e-7, center):
+                want, _ = quad_on_mesh(_substituted(g, b, mesh.q), mesh.breakpoints)
+                assert beta_weighted_on_mesh(g, b, mesh) == want, (center, b)
+
+
+def test_array_beta_matches_scalar_calls():
+    for g, centers in _MESH_CASES:
+        for center in centers:
+            mesh = frozen_beta_mesh(g, center)
+            betas = np.linspace(max(center - 0.3, 0.0), center, 9)
+            got = beta_weighted_on_mesh(g, betas, mesh)
+            assert got.shape == betas.shape
+            want = [beta_weighted_on_mesh(g, float(b), mesh) for b in betas]
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+def test_non_finite_g_on_mesh_raises():
+    def g(u):
+        u = np.asarray(u, dtype=float)
+        return np.where((u > 0.2) & (u < 0.3), np.nan, 1.0 - u)
+
+    with pytest.raises(QuadratureError, match="not finite"):
+        frozen_beta_mesh(g, 1.2)
+
+
+def test_array_beta_outside_range_raises():
+    g = lambda u: 1.0 - np.asarray(u, dtype=float)
+    mesh = frozen_beta_mesh(g, 1.0)
+    for bad in ([0.5, 2.0], [-0.1, 0.5], [0.5, np.nan]):
+        with pytest.raises(QuadratureError, match="beta"):
+            beta_weighted_on_mesh(g, np.array(bad), mesh)

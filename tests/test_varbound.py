@@ -22,6 +22,13 @@ Proves:
       DivergentIntegralError rather than returning garbage
   7.  Bound dominance: c_lb >= c_linear - 1e-8 over 100 seeded random
       parameter draws cycling the single-species presets
+  8.  The grid scan grouped by substitution exponent: sup_F's beta_star,
+      F_star and c_lb are pinned exactly on every scalar preset and custom
+      draws, and the grouped scan picks the same grid point as a per-beta
+      adaptive F_of_beta loop over the presets and 50 seeded draws
+  9.  Argument checks: F_of_beta returns the limit at beta = 2 and raises
+      ConfigError outside [0, 2]; sup_F rejects a non-positive or
+      non-finite xtol
 """
 
 import math
@@ -44,6 +51,7 @@ from wavebound.varbound import (
     selection_criterion,
     sup_F,
 )
+from wavebound.varbound import _grid_values
 
 # -- 1. quadrature vs closed forms --------------------------------------
 
@@ -296,3 +304,89 @@ def test_bound_dominates_linear_speed_over_random_draws():
             model = make_preset("linear_shift", {"delta": rng.uniform(0.0, 2.0)})
         res = sup_F(model)
         assert res.c_lb >= linear_speed(model) - 1e-8, model.describe()
+
+
+# -- 8. grouped grid scan -----------------------------------------------
+
+_CUSTOM_D, _CUSTOM_F = "u^m + d", "u*(1 - u)*(1 + r*u)"
+
+
+def _scalar_model(name, params):
+    if name == "custom":
+        return ScalarModel(_CUSTOM_D, _CUSTOM_F, params)
+    return make_preset(name, params)
+
+
+# (model, params, beta_star, F_star, c_lb) as the per-beta adaptive grid
+# scan found them before the scan was grouped by q
+_SUP_F_PINS = [
+    ("fisher_kpp", {}, 2.0, 2.0000000000000004, 2.0),
+    ("porous_fisher", {}, 0.9999999999885689, 0.2500000000000001, 0.7071067811865477),
+    ("porous_fisher", {"m": 2.0},
+     0.7847495629918702, 0.1056305895462496, 0.4596315688597762),
+    ("allee", {}, 0.6138487788633096, 0.08024965233929697, 0.4006236446823801),
+    ("allee", {"alpha": 0.3, "a": 0.4},
+     0.47654312905500174, 0.022851941482549085, 0.21378466494371895),
+    ("linear_shift", {}, 0.9999999999885689, 0.2500000000000001, 0.7071067811865477),
+    ("linear_shift", {"delta": 1.0}, 2.0, 2.0000000000000004, 2.0),
+    ("custom", {"m": 1.5, "d": 0.3, "r": 2.0},
+     1.2065548330830365, 0.7571543910238664, 1.2305725423751877),
+    ("custom", {"m": 1.2, "d": 0.1, "r": 4.5},
+     0.899782231256705, 0.8092553317153063, 1.2722070049447978),
+    ("custom", {"m": 1.8, "d": 0.0, "r": 1.0},
+     0.7696914190187765, 0.18548931146022557, 0.6090801449074261),
+]
+
+
+@pytest.mark.parametrize(
+    "name,params,beta_star,F_star,c_lb",
+    _SUP_F_PINS,
+    ids=[f"{pin[0]}-{i}" for i, pin in enumerate(_SUP_F_PINS)],
+)
+def test_sup_F_pinned_exactly(name, params, beta_star, F_star, c_lb):
+    res = sup_F(_scalar_model(name, params))
+    assert (res.beta_star, res.F_star, res.c_lb) == (beta_star, F_star, c_lb)
+
+
+_DRAWS = {
+    "porous_fisher": lambda rng: {"m": rng.uniform(1.0, 3.0), "n": rng.uniform(1.0, 3.0)},
+    "allee": lambda rng: {"alpha": rng.uniform(0.25, 2.0), "a": rng.uniform(0.0, 0.5)},
+    "linear_shift": lambda rng: {"delta": rng.uniform(0.0, 1.5)},
+    "custom": lambda rng: {
+        "m": rng.uniform(1.0, 2.0), "d": rng.uniform(0.0, 1.0), "r": rng.uniform(0.0, 6.0)
+    },
+}
+
+
+def test_grouped_scan_picks_the_adaptive_argmax():
+    # the oracle is the scan as it was: one adaptive F_of_beta per grid beta
+    rng = np.random.default_rng(11)
+    families = list(_DRAWS)
+    cases = [(name, {}) for name in ("fisher_kpp", *families[:3])]
+    cases += [(families[i % 4], _DRAWS[families[i % 4]](rng)) for i in range(50)]
+    for name, params in cases:
+        model = _scalar_model(name, params)
+        betas, values = _grid_values(model.DR_fn())
+        oracle = [F_of_beta(model, float(b)) for b in betas]
+        assert np.argmax(values) == np.argmax(oracle), (name, params)
+        np.testing.assert_allclose(values, oracle, rtol=1e-7, atol=1e-12)
+
+
+# -- 9. argument checks -------------------------------------------------
+
+
+def test_F_of_beta_at_two_is_the_limit():
+    for model in (make_preset("fisher_kpp"), make_preset("allee")):
+        assert F_of_beta(model, 2.0) == F_limit_beta2(model)
+
+
+@pytest.mark.parametrize("beta", [-0.1, 2.0 + 1e-12, 3.0, math.nan, math.inf])
+def test_F_of_beta_outside_range_is_config_error(beta):
+    with pytest.raises(ConfigError, match="beta"):
+        F_of_beta(make_preset("fisher_kpp"), beta)
+
+
+@pytest.mark.parametrize("xtol", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_sup_F_rejects_bad_xtol(xtol):
+    with pytest.raises(ConfigError, match="xtol"):
+        sup_F(make_preset("porous_fisher", {"m": 2.0}), xtol=xtol)
