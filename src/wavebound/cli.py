@@ -137,8 +137,18 @@ def _add_two_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--param", action="append", default=[], metavar="NAME=VALUE")
 
 
+def _reject_with_preset(args: argparse.Namespace, flags: Sequence[str]) -> None:
+    given = [f"--{name}" for name in flags if getattr(args, name) is not None]
+    if args.preset and given:
+        raise ConfigError(
+            f"--preset {args.preset} cannot be combined with {', '.join(given)}; "
+            "set preset parameters with --param NAME=VALUE"
+        )
+
+
 def _build_scalar_model(args: argparse.Namespace) -> ScalarModel:
     params = _parse_params(args.param)
+    _reject_with_preset(args, ("D", "f"))
     if args.preset:
         model = make_preset(args.preset, params)
         if not isinstance(model, ScalarModel):
@@ -151,6 +161,7 @@ def _build_scalar_model(args: argparse.Namespace) -> ScalarModel:
 
 def _build_two_model(args: argparse.Namespace) -> TwoSpeciesModel:
     params = _parse_params(args.param)
+    _reject_with_preset(args, ("D", "f", "kappa", "nu"))
     if args.preset:
         model = make_preset(args.preset, params)
         if not isinstance(model, TwoSpeciesModel):

@@ -31,6 +31,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
+from ._ode import dop853
 from ._quad import beta_weighted_integral, quad
 from ._search import golden_max
 from .errors import (
@@ -283,7 +284,9 @@ def solve_u2_profile(model: TwoSpeciesModel, beta: float, c: float) -> WaveProfi
     * constant D: the exact power law u2 = nu (1 - u1)^(eta D);
     * D = D(u2): u2(w) = U(eta w) on the model's substance curve U, which
       is solved once per model and shared by every (beta, c);
-    * general D: one DOP853 integration per (beta, c), rtol 1e-10.
+    * general D: one integration per (beta, c), rtol 1e-10, on the scalar
+      DOP853 of ``_ode``, which takes solve_ivp's steps in plain floats
+      and serves its dense output to ``u2_at``.
     """
     if not c > 0.0:
         raise ConfigError(f"c must be > 0, got {c}")
@@ -321,35 +324,14 @@ def solve_u2_profile(model: TwoSpeciesModel, beta: float, c: float) -> WaveProfi
             model, beta, c, lambda w: curve(coef * w), coef * curve.rate
         )
 
-    from scipy.integrate import solve_ivp  # deferred: slow to import
-
     D_fn = model.D_fn
 
-    def rhs(w: float, y: np.ndarray) -> np.ndarray:
-        # scalar arguments: array calls here would cost more than D itself
-        u2 = min(max(float(y[0]), 0.0), nu)
-        return -coef * y * float(D_fn(-expm1(-w), u2))
+    def rhs(w: float, y: float) -> float:
+        return -coef * y * float(D_fn(-expm1(-w), min(max(y, 0.0), nu)))
 
-    sol = solve_ivp(
-        rhs,
-        (0.0, _W_MAX),
-        np.array([nu]),
-        method="DOP853",
-        rtol=1e-10,
-        atol=1e-14 * max(nu, 1e-6),
-        dense_output=True,
-    )
-    if not sol.success:
-        raise StepFailureError(
-            f"substance-profile integration failed: {sol.message}"
-        )
-
-    interp = sol.sol
-    u2_cut = float(sol.y[0, -1])
-    tail_p = coef * float(D_fn(1.0, 0.0))
-
+    sol = dop853(rhs, _W_MAX, nu, 1e-10, 1e-14 * max(nu, 1e-6))
     u1_grid = np.append(-np.expm1(-sol.t), 1.0)
-    u2 = np.append(np.clip(sol.y[0], 0.0, nu), 0.0)
+    u2 = np.append(np.clip(sol.y, 0.0, nu), 0.0)
     vs = v_star(model, beta, c, u1_grid, u2)
     return WaveProfile2(
         u1_grid=u1_grid,
@@ -358,9 +340,9 @@ def solve_u2_profile(model: TwoSpeciesModel, beta: float, c: float) -> WaveProfi
         beta=beta,
         c=c,
         nu=nu,
-        tail_exponent=tail_p,
-        _interp=lambda w: np.clip(interp(w)[0], 0.0, nu),
-        _u2_cut=u2_cut,
+        tail_exponent=coef * float(D_fn(1.0, 0.0)),
+        _interp=lambda w: np.clip(sol(w), 0.0, nu),
+        _u2_cut=float(sol.y[-1]),
     )
 
 

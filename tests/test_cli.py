@@ -17,7 +17,9 @@ Proves:
     3, each with one ``error:`` line and no traceback; every package
     error has an exit code; an ``--out`` that is (or lies under) a
     regular file exits 2 with one ``error:`` line and nothing on stdout;
-    an unknown flag prints the subcommand's usage line, not the root's.
+    an unknown flag prints the subcommand's usage line, not the root's;
+    ``--preset`` given with ``--D``, ``--f``, ``--kappa`` or ``--nu`` exits 2
+    and points to ``--param``.
  5. ``simulate scalar`` writes profiles.csv and front.csv and reports the
     fitted speed; a run whose profile never crosses the tracking level
     exits 5 without creating the output directory; ``simulate stefan``
@@ -31,8 +33,9 @@ Proves:
     match frozen text byte for byte.
  8. Worker-pool sizing honours WAVEBOUND_THREADS, rejects a non-integer
     value, and never exceeds the number of sweep points.
- 9. Importing the package and its CLI leaves ``scipy.integrate`` unloaded:
-    only a coupled op that solves an ODE pays for it.
+ 9. Importing the package, its CLI and its ODE integrator leaves
+    ``scipy.integrate`` unloaded: only a coupled op that solves an ODE pays
+    for it.
 """
 
 import json
@@ -199,6 +202,29 @@ def test_two_species_needs_kappa_and_nu(tmp_path, capsys):
     assert "--kappa" in err and "--nu" in err
 
 
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        (["bound", "scalar", "--preset", "porous_fisher", "--D", "u", "--f", "u*(1-u)"],
+         "--D, --f"),
+        (["criterion", "--preset", "porous_fisher", "--f", "u*(1-u)"], "--f"),
+        (["simulate", "scalar", "--preset", "fisher_kpp", "--D", "2"], "--D"),
+        (["bound", "two-species", "--preset", "ecm_b", "--kappa", "5", "--nu", "0.3"],
+         "--kappa, --nu"),
+        (["simulate", "two-species", "--preset", "ecm_c", "--D", "1", "--nu", "0.3"],
+         "--D, --nu"),
+    ],
+)
+def test_preset_with_model_flags_exit_2(tmp_path, capsys, argv, flags):
+    # a preset takes its parameters through --param only
+    code, out, err = _run(capsys, argv + ["--out", str(tmp_path / "o")])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert flags in err and "--param" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_degenerate_diffusion_exit_2(tmp_path, capsys):
     # D = 1 - u2 vanishes at the far field u2 = nu = 1
     code, out, err = _run(capsys, [
@@ -251,7 +277,10 @@ def test_every_package_error_has_an_exit_code():
 
 def test_cli_import_leaves_scipy_integrate_unloaded():
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    code = "import sys, wavebound, wavebound.cli; print('scipy.integrate' in sys.modules)"
+    code = (
+        "import sys, wavebound, wavebound.cli, wavebound._ode; "
+        "print('scipy.integrate' in sys.modules)"
+    )
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True

@@ -22,7 +22,9 @@ Proves:
       boundary
   6.  solve_implicit_speed converges with honest residuals, never
       undercuts the linear speed, reports epsilon = kappa nu / c, and
-      reproduces pinned ecm_b, ecm_c and general-D speeds to 1e-8
+      reproduces pinned ecm_b, ecm_c and general-D speeds to 1e-8; three
+      general-D speeds hold to 1e-12 with beta* and the iteration count
+      exact
   7.  The adjoint quadrature matches the hand-derived co-state integral
       lambda * integral q phi u2 dq for the crowding model
   8.  pontryagin_residual vanishes for decoupled models and stays within
@@ -342,6 +344,26 @@ def test_implicit_speed_regression_pins(model, want):
     res = solve_implicit_speed(model)
     assert res.converged
     assert res.c == pytest.approx(want, rel=1e-8)
+
+
+# general-D speeds of the solve_ivp profile solves that the scalar DOP853
+# replaced; it takes the same steps up to round-off in the step-size factor
+@pytest.mark.parametrize(
+    "D, f, kappa, nu, want, beta_star, iterations",
+    [
+        ("1 + 0.5*u1 - u2", "u1*(1 - u1 - u2)", 1.05, 0.5,
+         1.0076673569251844, 1.8339274347404915, 13),
+        ("1 + u1*u2", "u1*(1 - u1)*(1 + 2*u1)", 3.0, 0.4,
+         2.0075376029593226, 1.8390908154271441, 5),
+        ("1 + u1 - 0.5*u2", "u1*(1 - u1 - 0.5*u2)", 5.0, 0.6,
+         1.4691589991323393, 1.6143393668474946, 15),
+    ],
+)
+def test_general_D_speed_pins_tight(D, f, kappa, nu, want, beta_star, iterations):
+    res = solve_implicit_speed(TwoSpeciesModel(D, f, kappa=kappa, nu=nu))
+    assert res.c == pytest.approx(want, rel=1e-12)
+    assert res.beta_star == beta_star
+    assert res.iterations == iterations
 
 
 def test_speed_solve_to_dict():
