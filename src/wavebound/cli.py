@@ -341,6 +341,7 @@ def _finish_sim(
         "stability_report": result.stability_report,
         "min_density": result.min_density,
         "max_density": result.max_density,
+        "stats": result.stats,
     }
     config = {"model": model_config, "sim": result.config.to_dict()}
     return payload, config, [profiles, front], EXIT_OK

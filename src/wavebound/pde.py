@@ -20,7 +20,21 @@ without a nonlinear solver.
 All three run one time loop, ``_march``: it picks the step, samples about
 240 times (snapshots, blow-up guard, density range, front series), and
 fits the speed.  Each simulator supplies only its physics: a dt limit,
-the initial fields, one explicit ``step`` and a front locator.
+the initial fields, one explicit in-place ``step`` and a front locator.
+
+The two flux simulators step only an active window of cells, ``_flux_step``,
+and give the same bits as a full-grid step.  A cell's update reads only its
+three-cell stencil and dt is fixed for the run, so a cell whose stencil did
+not change in one step recomputes its own value in the next.  The window for
+the next step therefore needs only the hull of the cells whose bits changed,
+widened by one cell per side; ahead of a degenerate front (D(0) = f(0) = 0)
+and behind it, where values sit at their last rounding, nothing changes.
+The first step covers the whole grid, the hull is re-measured every
+``_REMEASURE`` steps, and in between the window just widens by one cell per
+side, which is always safe.  The step ratio dt max(D)/dx^2 is taken over the
+window: a cell's new D enters the next window, so the running maximum is
+the full grid's.  The moving-boundary step feeds sdot into every cell and
+so steps the whole grid.
 """
 
 from __future__ import annotations
@@ -50,6 +64,7 @@ _MIN_CELLS = 200
 _CFL = 0.2
 _TARGET_SAMPLES = 240
 _BLOWUP = 10.0
+_REMEASURE = 16  # steps between measurements of the changed-cell hull
 
 # the per-species profiles one simulator advances; the first is tracked
 Fields = Tuple[np.ndarray, ...]
@@ -80,14 +95,12 @@ class SimConfig:
         object.__setattr__(
             self, "snapshot_times", tuple(float(t) for t in self.snapshot_times)
         )
-        if not self.L > 0.0:
-            raise ConfigError(f"L must be > 0, got {self.L}")
-        if not self.dx > 0.0:
-            raise ConfigError(f"dx must be > 0, got {self.dx}")
-        if not self.T > 0.0:
-            raise ConfigError(f"T must be > 0, got {self.T}")
-        if self.dt is not None and not self.dt > 0.0:
-            raise ConfigError(f"dt must be > 0, got {self.dt}")
+        positive = {"L": self.L, "dx": self.dx, "T": self.T}
+        if self.dt is not None:
+            positive["dt"] = self.dt
+        for name, value in positive.items():
+            if not (math.isfinite(value) and value > 0.0):
+                raise ConfigError(f"{name} must be finite and > 0, got {value}")
         if self.ic_kind not in _IC_KINDS:
             raise ConfigError(
                 f"ic_kind must be one of {_IC_KINDS}, got {self.ic_kind!r}"
@@ -117,7 +130,9 @@ class SimResult:
     boundary.  ``fitted_speed``/``fit_residual`` come from the
     least-squares line through the second half of the front track, and
     are NaN when no front was trackable.  ``stability_report`` is the
-    largest explicit-diffusion ratio dt max(D)/dx^2 observed.
+    largest explicit-diffusion ratio dt max(D)/dx^2 observed.  ``stats``
+    says how the run was computed: the ``dt`` and ``n_steps`` used and
+    ``cell_updates``, the cells stepped summed over all steps.
     """
 
     x_grid: np.ndarray
@@ -129,6 +144,7 @@ class SimResult:
     min_density: float
     max_density: float
     config: SimConfig
+    stats: Dict[str, object]
 
     def write_profiles_csv(self, path: str) -> None:
         """x plus one column per (snapshot, species), header included."""
@@ -239,12 +255,13 @@ def _march(
     x: np.ndarray,
     dt_limit: float,
     fields: Fields,
-    step: Callable[[Fields, float], Tuple[Fields, float]],
+    step: Callable[[Fields, float], Tuple[float, int]],
     front: Callable[[Fields], Optional[float]],
 ) -> SimResult:
-    """The one time loop: ``step(fields, dt)`` returns the next fields and
-    its ratio dt max(D)/dx^2.  Step 0, every ``n_steps // 240``-th step and
-    the last are sampled: blow-up guard and range on the first field, and
+    """The one time loop: ``step(fields, dt)`` advances the fields in place
+    and returns its ratio dt max(D)/dx^2 and the number of cells it
+    stepped.  Step 0, every ``n_steps // 240``-th step and the last are
+    sampled: blow-up guard and range on the first field, and
     ``front(fields)`` into the front series unless it is None.  Each
     snapshot copies every field at the step nearest its time."""
     dt, n_steps = _steps(cfg, dt_limit)
@@ -255,11 +272,13 @@ def _march(
     snapshots: Dict[float, Fields] = {}
     series: List[Tuple[float, float]] = []
     min_density, max_density, max_cfl = math.inf, -math.inf, 0.0
+    cell_updates = 0
 
     for k in range(n_steps + 1):
         if k:
-            fields, ratio = step(fields, dt)
+            ratio, cells = step(fields, dt)
             max_cfl = max(max_cfl, ratio)
+            cell_updates += cells
         if k in snap_steps:
             copies = tuple(f.copy() for f in fields)
             snapshots.update(dict.fromkeys(snap_steps[k], copies))
@@ -290,6 +309,7 @@ def _march(
         min_density=min_density,
         max_density=max_density,
         config=cfg,
+        stats={"dt": dt, "n_steps": n_steps, "cell_updates": cell_updates},
     )
 
 
@@ -303,14 +323,75 @@ def _level_front(cfg: SimConfig, x: np.ndarray, fields: Fields) -> Optional[floa
     return X if X < cfg.L - 10.0 * cfg.dx else None
 
 
-def _flux_divergence(rho: np.ndarray, Dc: np.ndarray, dx2: float) -> np.ndarray:
-    """(D rho_x)_x with arithmetic-mean face diffusivities, zero-flux ends."""
-    flux = 0.5 * (Dc[1:] + Dc[:-1]) * (rho[1:] - rho[:-1])
-    rhs = np.empty_like(rho)
-    rhs[1:-1] = (flux[1:] - flux[:-1]) / dx2
-    rhs[0] = flux[0] / dx2
-    rhs[-1] = -flux[-1] / dx2
-    return rhs
+def _flux_step(
+    D_fn: Callable[..., np.ndarray],
+    f_fn: Callable[..., np.ndarray],
+    n: int,
+    dx2: float,
+    kappa: Optional[float] = None,
+) -> Callable[[Fields, float], Tuple[float, int]]:
+    """The explicit step of the flux simulators, on the active window.
+
+    The first field advances by (D u_x)_x + f with arithmetic-mean face
+    diffusivities and zero-flux ends; given ``kappa``, a second field
+    decays pointwise by -kappa u1 u2.  ``D_fn`` and ``f_fn`` take every
+    field.  Only cells [lo, hi) are stepped (see the module docstring), in
+    place, each operation in numpy's order of the plain full-grid
+    expressions ``rho + dt * (div + f)`` and
+    ``rho2 - dt * kappa * rho1 * rho2``, so the bits are the same.
+    """
+    # face j sits between cells j - 1 and j; the end faces carry no flux,
+    # and their signs make the end cells' differences +flux, -flux exactly
+    face = np.empty(n + 1)
+    face[0], face[n] = 0.0, -0.0
+    grad = np.empty(n + 1)
+    rate = np.empty(n)
+    decay = np.empty(n)
+    lo, hi, countdown = 0, n, 0  # the first, full-grid step is measured
+
+    def step(fields: Fields, dt: float) -> Tuple[float, int]:
+        nonlocal lo, hi, countdown
+        if lo >= hi:
+            return 0.0, 0
+        a, b = max(lo - 1, 0), min(hi + 1, n)
+        u = fields[0]
+        Dc = D_fn(*[v[a:b] for v in fields])
+        fw, gw = face[a + 1:b], grad[a + 1:b]
+        np.add(Dc[1:], Dc[:-1], out=fw)
+        np.multiply(0.5, fw, out=fw)
+        np.subtract(u[a + 1:b], u[a:b - 1], out=gw)
+        np.multiply(fw, gw, out=fw)
+        cur = [v[lo:hi] for v in fields]
+        w = rate[lo:hi]
+        np.subtract(face[lo + 1:hi + 1], face[lo:hi], out=w)
+        np.divide(w, dx2, out=w)
+        np.add(w, f_fn(*cur), out=w)
+        np.multiply(dt, w, out=w)
+        if kappa is not None:
+            d = decay[lo:hi]
+            np.multiply(dt * kappa, cur[0], out=d)
+            np.multiply(d, cur[1], out=d)
+        before = [c.copy() for c in cur] if countdown == 0 else None
+        np.add(cur[0], w, out=cur[0])
+        if kappa is not None:
+            np.subtract(cur[1], d, out=cur[1])
+
+        stepped = hi - lo
+        if before is None:
+            lo, hi, countdown = max(lo - 1, 0), min(hi + 1, n), countdown - 1
+        else:
+            changed = np.zeros(stepped, dtype=bool)
+            for old, now in zip(before, cur):
+                changed |= old.view(np.int64) != now.view(np.int64)
+            moved = np.flatnonzero(changed)
+            if moved.size:
+                lo, hi = max(lo + int(moved[0]) - 1, 0), min(lo + int(moved[-1]) + 2, n)
+            else:
+                lo = hi
+            countdown = _REMEASURE - 1
+        return dt * float(Dc.max()) / dx2, stepped
+
+    return step
 
 
 def simulate_scalar(model: ScalarModel, cfg: SimConfig) -> SimResult:
@@ -322,20 +403,12 @@ def simulate_scalar(model: ScalarModel, cfg: SimConfig) -> SimResult:
     """
     x = _grid(cfg)
     dx2 = cfg.dx * cfg.dx
-    D_fn, f_fn = model.D_fn, model.f_fn
-
     probe = np.linspace(0.0, 1.0, 257)
-    D_max = float(np.max(D_fn(probe)))
-
-    def step(fields: Fields, dt: float) -> Tuple[Fields, float]:
-        (rho,) = fields
-        Dc = D_fn(rho)
-        new = rho + dt * (_flux_divergence(rho, Dc, dx2) + f_fn(rho))
-        return (new,), dt * float(np.max(Dc)) / dx2
-
+    D_max = float(np.max(model.D_fn(probe)))
     return _march(
         cfg, x, _CFL * dx2 / max(1e-12, D_max), (_initial_profile(cfg, x),),
-        step, partial(_level_front, cfg, x),
+        _flux_step(model.D_fn, model.f_fn, x.size, dx2),
+        partial(_level_front, cfg, x),
     )
 
 
@@ -348,25 +421,18 @@ def simulate_two_species(model: TwoSpeciesModel, cfg: SimConfig) -> SimResult:
     """
     x = _grid(cfg)
     dx2 = cfg.dx * cfg.dx
-    D_fn, f_fn = model.D_fn, model.f_fn
     kappa, nu = model.kappa, model.nu
 
     g1, g2 = np.meshgrid(np.linspace(0.0, 1.0, 65), np.linspace(0.0, nu, 33))
-    D_max = float(np.max(D_fn(g1.ravel(), g2.ravel())))
+    D_max = float(np.max(model.D_fn(g1.ravel(), g2.ravel())))
     dt_limit = _CFL * dx2 / max(1e-12, D_max)
     if kappa > 0.0:
         dt_limit = min(dt_limit, _CFL / kappa)
 
-    def step(fields: Fields, dt: float) -> Tuple[Fields, float]:
-        rho1, rho2 = fields
-        Dc = D_fn(rho1, rho2)
-        new1 = rho1 + dt * (_flux_divergence(rho1, Dc, dx2) + f_fn(rho1, rho2))
-        new2 = rho2 - dt * kappa * rho1 * rho2
-        return (new1, new2), dt * float(np.max(Dc)) / dx2
-
     return _march(
         cfg, x, dt_limit, (_initial_profile(cfg, x), np.full_like(x, nu)),
-        step, partial(_level_front, cfg, x),
+        _flux_step(model.D_fn, model.f_fn, x.size, dx2, kappa),
+        partial(_level_front, cfg, x),
     )
 
 
@@ -389,7 +455,7 @@ def simulate_fisher_stefan(kappa: float, cfg: SimConfig) -> SimResult:
     rho[-1] = 0.0  # the boundary condition; expm1 gives -0.0 here
     s = 0.0
 
-    def step(fields: Fields, dt: float) -> Tuple[Fields, float]:
+    def step(fields: Fields, dt: float) -> Tuple[float, int]:
         nonlocal s
         (rho,) = fields
         sdot = -kappa * (-4.0 * rho[-2] + rho[-3]) / (2.0 * dx)
@@ -402,7 +468,7 @@ def simulate_fisher_stefan(kappa: float, cfg: SimConfig) -> SimResult:
         rho[0] = 1.0
         rho[-1] = 0.0
         s += dt * sdot
-        return fields, dt / dx2
+        return dt / dx2, rho.size - 2
 
     res = _march(cfg, x, _CFL * dx2, (rho,), step, lambda fields: s)
 

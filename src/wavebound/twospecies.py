@@ -446,16 +446,22 @@ def _sup_G(
     edge wins, the full grid is rescanned (the maximiser moved).
     """
     G2 = G_of_beta(model, 2.0, c)
+    # golden_max re-reads its bracket edges, which the grid scan solved
+    seen: Dict[float, float] = {}
+
+    def G(beta: float) -> float:
+        beta = float(beta)
+        if beta not in seen:
+            seen[beta] = G_of_beta(model, beta, c)
+        return seen[beta]
 
     def interior(lo: float, hi: float, n: int) -> Tuple[float, float]:
         betas = np.linspace(lo, hi, n)
-        vals = np.array([G_of_beta(model, b, c) for b in betas])
+        vals = np.array([G(b) for b in betas])
         i = int(np.argmax(vals))
         b_lo = float(betas[max(i - 1, 0)])
         b_hi = float(betas[min(i + 1, n - 1)])
-        return golden_max(
-            lambda b: G_of_beta(model, b, c), b_lo, b_hi, xtol=xtol
-        )
+        return golden_max(G, b_lo, b_hi, xtol=xtol)
 
     full = (1e-3, 2.0 - 1e-3)
     if hint is not None and hint < 2.0:

@@ -313,6 +313,9 @@ def test_simulate_scalar_writes_outputs(tmp_path, capsys):
     assert payload["stability_report"] <= 0.2 + 1e-12
     assert payload["min_density"] >= 0.0
     assert payload["max_density"] <= 1.0 + 1e-9
+    stats = payload["stats"]
+    assert stats["dt"] * stats["n_steps"] == pytest.approx(25.0, rel=1e-12)
+    assert 0 < stats["cell_updates"] <= 401 * stats["n_steps"]
 
     profiles = tmp_path / "profiles.csv"
     front = tmp_path / "front.csv"
@@ -324,6 +327,18 @@ def test_simulate_scalar_writes_outputs(tmp_path, capsys):
     assert manifest["outputs"] == sorted([str(profiles), str(front)])
     assert manifest["resolved_config"]["sim"]["L"] == 80.0
     assert manifest["resolved_config"]["model"]["f"] == "u*(1 - u)"
+
+
+@pytest.mark.parametrize("flag", ["--L", "--T", "--dt"])
+def test_simulate_non_finite_length_exit_2(tmp_path, capsys, flag):
+    argv = {"--L": "80", "--T": "5", "--dt": "0.002"}
+    argv[flag] = "inf"
+    code, _, err = _run(capsys, [
+        "simulate", "scalar", "--preset", "fisher_kpp", "--dx", "0.2",
+        *[a for kv in argv.items() for a in kv], "--out", str(tmp_path),
+    ])
+    assert code == 2
+    assert err.startswith("error:") and "must be finite" in err
 
 
 def test_simulate_without_front_exits_5(tmp_path, capsys):

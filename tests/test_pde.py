@@ -29,6 +29,10 @@ Proves:
  10.  One short run per simulator reproduces its pinned speed, residual,
       density range and step ratio to 1e-12, and an uncoupled two-species
       run is bit-for-bit the scalar run
+ 11.  The active window is exact: the flux simulators equal a plain
+      full-grid explicit loop bit for bit (snapshots, front series, speed,
+      residual, step ratio, density range), report the dt and step count
+      they used, and step fewer cells than the grid on a degenerate front
 """
 
 import math
@@ -113,6 +117,10 @@ def test_estimate_speed_multiple_crossings():
         dict(L=10.0, dx=0.1, T=1.0, level=1.0),
         dict(L=10.0, dx=0.1, T=1.0, snapshot_times=(2.0,)),
         dict(L=10.0, dx=0.1, T=1.0, ic_kind="smoothed_step", ic_width=0.0),
+        dict(L=math.inf, dx=0.1, T=1.0),
+        dict(L=10.0, dx=0.1, T=math.inf),
+        dict(L=10.0, dx=0.1, T=1.0, dt=math.inf),
+        dict(L=10.0, dx=0.1, T=math.nan),
     ],
 )
 def test_sim_config_rejects(kwargs):
@@ -159,6 +167,9 @@ def test_degenerate_run_stays_nonnegative(porous_sim):
     assert porous_sim.min_density >= -1e-9
     assert porous_sim.max_density <= 1.0 + 1e-9
     assert 0.65 < porous_sim.fitted_speed < 0.75
+    # ahead of the front D(0) = f(0) = 0, so most cells are never stepped
+    stats = porous_sim.stats
+    assert stats["cell_updates"] < porous_sim.x_grid.size * stats["n_steps"]
 
 
 # -- 5. grid convergence ---------------------------------------------------
@@ -276,6 +287,7 @@ def test_snapshots_at_start_and_end(name):
     cfg = SimConfig(L=40.0, dx=0.2, T=2.0, snapshot_times=(0.0, 1.0, 2.0))
     res = _SIMULATORS[name](cfg)
     assert set(res.snapshots) == set(cfg.snapshot_times)
+    assert res.stats["dt"] * res.stats["n_steps"] == pytest.approx(cfg.T, rel=1e-12)
 
 
 def test_snapshot_times_on_one_step_all_kept():
@@ -323,3 +335,65 @@ def test_uncoupled_two_species_is_the_scalar_run():
     for attr in ("fitted_speed", "fit_residual", "min_density",
                  "max_density", "stability_report"):
         assert getattr(two, attr) == getattr(one, attr), attr
+
+
+# -- 11. the active window is exact ------------------------------------------
+
+
+def _full_grid_reference(model, fields, cfg, n_steps):
+    """The plain explicit scheme stepping every cell: the fields at each
+    sampled step (every n_steps // 240-th and the last) and the largest
+    step ratio dt max(D)/dx^2."""
+    dt, dx2 = cfg.T / n_steps, cfg.dx * cfg.dx
+    every = max(1, n_steps // 240)
+    kept, ratio = {0: fields}, 0.0
+    for k in range(1, n_steps + 1):
+        u = fields[0]
+        Dc = model.D_fn(*fields)
+        flux = 0.5 * (Dc[1:] + Dc[:-1]) * (u[1:] - u[:-1])
+        div = np.concatenate(([flux[0]], flux[1:] - flux[:-1], [-flux[-1]])) / dx2
+        new = (u + dt * (div + model.f_fn(*fields)),)
+        if len(fields) > 1:
+            new += (fields[1] - dt * model.kappa * u * fields[1],)
+        ratio = max(ratio, dt * float(np.max(Dc)) / dx2)
+        fields = new
+        if k % every == 0 or k == n_steps:
+            kept[k] = fields
+    return kept, ratio
+
+
+_ECM_B = make_preset("ecm_b", {"kappa": 4.0, "nu": 0.5})
+
+
+@pytest.mark.parametrize(
+    "simulate, model, ic",
+    [
+        (simulate_scalar, make_preset("porous_fisher", {"m": 2.0}), {}),
+        (simulate_scalar, make_preset("fisher_kpp"), {"ic_kind": "smoothed_step"}),
+        (simulate_two_species, _ECM_B, {}),
+        (simulate_two_species, _ECM_B, {"ic_kind": "uniform", "ic_value": 0.3}),
+    ],
+    ids=["porous_fisher_m2_step", "fisher_kpp_smoothed", "ecm_b_step", "ecm_b_uniform"],
+)
+def test_active_window_matches_full_grid(simulate, model, ic):
+    n = 1200
+    cfg = SimConfig(L=40.0, dx=0.2, T=6.0, dt=0.005, snapshot_times=(0.0, 3.0, 6.0), **ic)
+    res = simulate(model, cfg)
+    dt = cfg.T / n
+    assert (res.stats["dt"], res.stats["n_steps"]) == (dt, n)
+    kept, ratio = _full_grid_reference(model, res.snapshots[0.0], cfg, n)
+    for t, k in ((3.0, n // 2), (6.0, n)):
+        assert len(res.snapshots[t]) == len(kept[k])
+        for got, want in zip(res.snapshots[t], kept[k]):
+            np.testing.assert_array_equal(got, want)
+    steps = sorted(kept)
+    firsts = [kept[k][0] for k in steps]
+    assert res.stability_report == ratio
+    assert res.min_density == min(float(np.min(u)) for u in firsts)
+    assert res.max_density == max(float(np.max(u)) for u in firsts)
+    if ic.get("ic_kind") == "uniform":
+        assert res.front_series.size == 0 and math.isnan(res.fitted_speed)
+        return
+    series, speed, resid = estimate_speed([k * dt for k in steps], res.x_grid, firsts, cfg.level)
+    np.testing.assert_array_equal(res.front_series, series)
+    assert (res.fitted_speed, res.fit_residual) == (speed, resid)

@@ -24,7 +24,7 @@ Proves:
       undercuts the linear speed, reports epsilon = kappa nu / c, and
       reproduces pinned ecm_b, ecm_c and general-D speeds to 1e-8; three
       general-D speeds hold to 1e-12 with beta* and the iteration count
-      exact
+      exact; one sup-over-beta search evaluates G at each beta once
   7.  The adjoint quadrature matches the hand-derived co-state integral
       lambda * integral q phi u2 dq for the crowding model
   8.  pontryagin_residual vanishes for decoupled models and stays within
@@ -364,6 +364,23 @@ def test_general_D_speed_pins_tight(D, f, kappa, nu, want, beta_star, iterations
     assert res.c == pytest.approx(want, rel=1e-12)
     assert res.beta_star == beta_star
     assert res.iterations == iterations
+
+
+@pytest.mark.parametrize("hint", [None, 1.7])
+def test_sup_G_evaluates_each_beta_once(monkeypatch, hint):
+    from wavebound import twospecies
+
+    betas = []
+    real = twospecies.G_of_beta
+
+    def counted(model, beta, c, profile=None):
+        betas.append(float(beta))
+        return real(model, beta, c, profile)
+
+    monkeypatch.setattr(twospecies, "G_of_beta", counted)
+    twospecies._sup_G(make_preset("ecm_b", {"kappa": 10.0, "nu": 0.5}), 1.25, 1e-4, hint)
+    assert len(betas) > 24
+    assert len(betas) == len(set(betas))
 
 
 def test_speed_solve_to_dict():
