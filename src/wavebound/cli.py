@@ -25,9 +25,9 @@ an ``--out`` that cannot be created or written,
 quadrature, profile-ODE step), 4 numerical instability, 5 front-tracking
 failure.  A sweep that finishes with some failed points exits 6.
 
-Sweep points run on a small thread pool; set WAVEBOUND_THREADS to cap
-(or serialise with WAVEBOUND_THREADS=1).  Output rows are sorted before
-writing, so results do not depend on scheduling.
+Sweep points run one after another on the calling thread: the NumPy
+work in a point is too fine-grained to gain from threads under the GIL.
+Output rows are sorted before writing.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -240,44 +239,34 @@ def _write_csv(path: str, header: Sequence[str], rows: List[Tuple]) -> None:
 
 def _float_list(text: str) -> List[float]:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        values = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise ConfigError(f"expected comma-separated numbers, got {text!r}")
+    if not values:
+        raise ConfigError(f"expected at least one number, got {text!r}")
+    return values
 
 
 def _pool_size(n_items: int) -> int:
-    env = os.environ.get("WAVEBOUND_THREADS", "").strip()
-    if env:
-        try:
-            workers = max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"WAVEBOUND_THREADS must be an integer, got {env!r}")
-    else:
-        workers = min(4, os.cpu_count() or 1)
-    return max(1, min(workers, n_items))
+    # no pool any more: kept only as the benchmark tracer's hook until the
+    # next benchmark change drops its lookup (ROADMAP item 5)
+    return 1
 
 
 def _sweep(
     points: List[Tuple],
     worker: Callable[[Tuple], Tuple],
 ) -> Tuple[List[Tuple], List[Dict[str, str]]]:
-    """Run ``worker`` over all points on a bounded pool; collect failures."""
-
-    def guarded(point: Tuple) -> Tuple[str, object]:
+    """Run ``worker`` over the points in order; a point that raises a
+    package error becomes a failure row and the sweep goes on."""
+    rows: List[Tuple] = []
+    failures: List[Dict[str, str]] = []
+    for point in points:
         try:
-            return ("ok", worker(point))
+            rows.append(worker(point))
         except WaveboundError as exc:
-            return ("fail", {"point": repr(point), "error": str(exc)})
-
-    workers = _pool_size(len(points))
-    if workers == 1:
-        results = [guarded(p) for p in points]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(guarded, points))
-    rows = [payload for tag, payload in results if tag == "ok"]
-    failures = [payload for tag, payload in results if tag == "fail"]
-    return rows, failures  # type: ignore[return-value]
+            failures.append({"point": repr(point), "error": str(exc)})
+    return rows, failures
 
 
 # ----------------------------------------------------------------------
@@ -463,9 +452,9 @@ def _grid(args: argparse.Namespace, attr: Optional[str], default: Tuple) -> Sequ
 
 def _run_figure(args: argparse.Namespace) -> _Result:
     fig = _FIGURES[args.n]
-    os.makedirs(args.out, exist_ok=True)
     outer = [_grid(args, attr, default) for attr, default in fig.outer]
     inner = _grid(args, *fig.inner)
+    os.makedirs(args.out, exist_ok=True)
     header = fig.header + ("simulated", "fit_residual")
 
     def worker(point: Tuple) -> Tuple:

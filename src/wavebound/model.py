@@ -20,6 +20,7 @@ to 1e-12) so that downstream numerics can assume well-posed input.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Dict, Mapping, Optional, Union
@@ -65,6 +66,17 @@ def _fd_derivative(g: Callable[[float], float], x0: float = 0.0) -> float:
     return (4.0 * fd3(h / 2.0) - fd3(h)) / 3.0
 
 
+def _require_finite(params: Mapping[str, float]) -> None:
+    """Refuse NaN and infinite parameter values: they have no literal in
+    the compiled source, and no model is defined by them."""
+    bad = [name for name in sorted(params) if not math.isfinite(float(params[name]))]
+    if bad:
+        raise ModelError(
+            "parameter values must be finite: "
+            + ", ".join(f"{name} = {params[name]}" for name in bad)
+        )
+
+
 @dataclass(frozen=True)
 class ScalarModel:
     """Single-species model. D and f are expressions in ``u``."""
@@ -75,6 +87,7 @@ class ScalarModel:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "params", dict(self.params))
+        _require_finite(self.params)
         D_ast = parse(self.D, SCALAR_VARS)
         f_ast = parse(self.f, SCALAR_VARS)
         needed = params_of(D_ast) | params_of(f_ast)
@@ -175,10 +188,11 @@ class TwoSpeciesModel:
         object.__setattr__(self, "params", dict(self.params))
         object.__setattr__(self, "kappa", float(self.kappa))
         object.__setattr__(self, "nu", float(self.nu))
-        if not self.kappa >= 0.0:
-            raise ModelError(f"kappa must be >= 0, got {self.kappa}")
+        if not (math.isfinite(self.kappa) and self.kappa >= 0.0):
+            raise ModelError(f"kappa must be finite and >= 0, got {self.kappa}")
         if not 0.0 <= self.nu <= 1.0:
             raise ModelError(f"nu must lie in [0, 1], got {self.nu}")
+        _require_finite(self.params)
         D_ast = parse(self.D, TWO_SPECIES_VARS)
         f_ast = parse(self.f, TWO_SPECIES_VARS)
         needed = params_of(D_ast) | params_of(f_ast)

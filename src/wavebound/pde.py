@@ -445,8 +445,8 @@ def simulate_fisher_stefan(kappa: float, cfg: SimConfig) -> SimResult:
     fitted speed is the long-time slope of s(t); a warning is emitted if
     that slope is still drifting by more than 1% over the last quarter.
     """
-    if not kappa > 0.0:
-        raise ConfigError(f"kappa must be > 0, got {kappa}")
+    if not (math.isfinite(kappa) and kappa > 0.0):
+        raise ConfigError(f"kappa must be finite and > 0, got {kappa}")
     x = _grid(cfg) - cfg.L  # y in [-L, 0]
     dx = cfg.dx
     dx2 = dx * dx
@@ -454,21 +454,32 @@ def simulate_fisher_stefan(kappa: float, cfg: SimConfig) -> SimResult:
     rho = -np.expm1(x)  # 1 - e^y: 1 far behind, 0 at the boundary
     rho[-1] = 0.0  # the boundary condition; expm1 gives -0.0 here
     s = 0.0
+    left, mid, right = rho[:-2], rho[1:-1], rho[2:]
+    rhs = np.empty(mid.size)
+    tmp = np.empty(mid.size)
 
     def step(fields: Fields, dt: float) -> Tuple[float, int]:
         nonlocal s
-        (rho,) = fields
         sdot = -kappa * (-4.0 * rho[-2] + rho[-3]) / (2.0 * dx)
-        rhs = (
-            (rho[2:] - 2.0 * rho[1:-1] + rho[:-2]) / dx2
-            + sdot * (rho[2:] - rho[:-2]) / (2.0 * dx)
-            + rho[1:-1] * (1.0 - rho[1:-1])
-        )
-        rho[1:-1] += dt * rhs
+        # rhs = (right - 2 mid + left) / dx2 + sdot (right - left) / (2 dx)
+        #       + mid (1 - mid), in place and in that expression's order
+        np.multiply(2.0, mid, out=rhs)
+        np.subtract(right, rhs, out=rhs)
+        np.add(rhs, left, out=rhs)
+        np.divide(rhs, dx2, out=rhs)
+        np.subtract(right, left, out=tmp)
+        np.multiply(sdot, tmp, out=tmp)
+        np.divide(tmp, 2.0 * dx, out=tmp)
+        np.add(rhs, tmp, out=rhs)
+        np.subtract(1.0, mid, out=tmp)
+        np.multiply(mid, tmp, out=tmp)
+        np.add(rhs, tmp, out=rhs)
+        np.multiply(dt, rhs, out=rhs)
+        np.add(mid, rhs, out=mid)
         rho[0] = 1.0
         rho[-1] = 0.0
         s += dt * sdot
-        return dt / dx2, rho.size - 2
+        return dt / dx2, mid.size
 
     res = _march(cfg, x, _CFL * dx2, (rho,), step, lambda fields: s)
 

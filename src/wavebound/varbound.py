@@ -399,8 +399,8 @@ def fisher_stefan_bound(kappa: float) -> float:
     increases towards 1 as kappa -> infinity.
     """
     kappa = float(kappa)
-    if not kappa > 0.0:
-        raise ConfigError(f"kappa must be > 0, got {kappa}")
+    if not (isfinite(kappa) and kappa > 0.0):
+        raise ConfigError(f"kappa must be finite and > 0, got {kappa}")
     if kappa <= 0.01:
         num = kappa**3 * (
             1.0 / 6.0 - kappa / 12.0 + kappa**2 / 40.0 - kappa**3 / 180.0

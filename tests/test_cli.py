@@ -19,23 +19,26 @@ Proves:
     regular file exits 2 with one ``error:`` line and nothing on stdout;
     an unknown flag prints the subcommand's usage line, not the root's;
     ``--preset`` given with ``--D``, ``--f``, ``--kappa`` or ``--nu`` exits 2
-    and points to ``--param``.
+    and points to ``--param``; a NaN or infinite parameter or kappa exits 2
+    with one ``error:`` line, not a traceback or a NaN in the JSON.
  5. ``simulate scalar`` writes profiles.csv and front.csv and reports the
     fitted speed; a run whose profile never crosses the tracking level
     exits 5 without creating the output directory; ``simulate stefan``
     rejects the initial-condition and level flags it has no use for.
  6. ``figure`` sweeps write one CSV per curve with the documented header,
     rerun byte-identically, exit 6 when some points fail (listing each
-    failure in the JSON payload), and exit 0 otherwise.
+    failure in the JSON payload, a non-finite grid value included), and
+    exit 0 otherwise; a grid that holds no number exits 2 before any
+    output is written.
  7. Figure CSVs agree with the library: the decoupled two-species column
     solves to c = 2, and a small porous-Fisher sweep lands the simulated
     speed on top of the bound; the ``--no-sim`` CSVs of all five figures
     match frozen text byte for byte.
- 8. Worker-pool sizing honours WAVEBOUND_THREADS, rejects a non-integer
-    value, and never exceeds the number of sweep points.
+ 8. Sweeps run serially on the calling thread, in point order; a failing
+    point is listed and the points after it still run.
  9. Importing the package, its CLI and its ODE integrator leaves
-    ``scipy.integrate`` unloaded: only a coupled op that solves an ODE pays
-    for it.
+    ``scipy.integrate`` and ``concurrent.futures`` unloaded: only a
+    coupled op that solves an ODE pays for the first.
 """
 
 import json
@@ -43,11 +46,12 @@ import math
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
 from wavebound import cli, errors
-from wavebound.errors import ConfigError, NonConvergenceError
+from wavebound.errors import ModelError, NonConvergenceError
 from wavebound.varbound import fisher_stefan_bound
 
 
@@ -176,6 +180,22 @@ def test_bad_preset_parameter_exit_2(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["bound", "scalar", "--preset", "porous_fisher", "--param", "m=nan"],
+    ["bound", "scalar", "--preset", "porous_fisher", "--param", "m=inf"],
+    ["bound", "scalar", "--D", "1", "--f", "u*(1 - u)*(u + k)", "--param", "k=-inf"],
+    ["bound", "fisher-stefan", "--kappa", "inf"],
+    ["bound", "fisher-stefan", "--kappa", "nan"],
+    ["simulate", "stefan", "--kappa", "inf", "--T", "2"],
+], ids=["m_nan", "m_inf", "custom_k_minus_inf", "kappa_inf", "kappa_nan", "sim_kappa_inf"])
+def test_non_finite_parameter_exit_2(tmp_path, capsys, argv):
+    code, out, err = _run(capsys, argv + ["--out", str(tmp_path / "o")])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "finite" in err
+    assert "Traceback" not in err
+
+
 def test_param_not_a_number_exit_2(tmp_path, capsys):
     code, _, err = _run(capsys, [
         "bound", "scalar", "--preset", "porous_fisher",
@@ -279,13 +299,13 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
     src = os.path.dirname(os.path.dirname(cli.__file__))
     code = (
         "import sys, wavebound, wavebound.cli, wavebound._ode; "
-        "print('scipy.integrate' in sys.modules)"
+        "print('scipy.integrate' in sys.modules, 'concurrent.futures' in sys.modules)"
     )
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
 
 
 def test_version_flag(capsys):
@@ -447,8 +467,7 @@ def _read_csv(path):
     return lines[0], [line.split(",") for line in lines[1:]]
 
 
-def test_figure5_no_sim_decoupled_row(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("WAVEBOUND_THREADS", "2")
+def test_figure5_no_sim_decoupled_row(tmp_path, capsys):
     out_dir = tmp_path / "a"
     code, out, _ = _run(capsys, [
         "figure", "5", "--no-sim", "--K-list", "0.5",
@@ -507,6 +526,31 @@ def test_figure3_partial_failure_exits_6(tmp_path, capsys):
     assert float(rows[0][2]) == 2.0
 
 
+def test_figure2_non_finite_grid_value_is_a_point_failure(tmp_path, capsys):
+    code, out, _ = _run(capsys, [
+        "figure", "2", "--no-sim", "--alpha-list", "nan", "--a-list", "0.1",
+        "--out", str(tmp_path),
+    ])
+    assert code == 6
+    failures = json.loads(out)["failures"]
+    assert failures == [{
+        "point": "(nan, 0.1)",
+        "error": "parameter values must be finite: alpha = nan",
+    }]
+
+
+@pytest.mark.parametrize("grid", [",", " , ,"])
+def test_figure_empty_grid_exit_2(tmp_path, capsys, grid):
+    out_dir = tmp_path / "o"
+    code, out, err = _run(capsys, [
+        "figure", "3", "--no-sim", "--kappa-list", grid, "--out", str(out_dir),
+    ])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "at least one number" in err
+    assert not out_dir.exists()
+
+
 def test_figure1_small_sweep_with_simulation(tmp_path, capsys):
     code, out, _ = _run(capsys, [
         "figure", "1", "--m-list", "1", "--n-list", "1",
@@ -527,18 +571,21 @@ def test_figure1_small_sweep_with_simulation(tmp_path, capsys):
 
 
 # ----------------------------------------------------------------------
-# worker pool sizing
+# serial sweep
 # ----------------------------------------------------------------------
 
 
-def test_pool_size_env_override(monkeypatch):
-    monkeypatch.setenv("WAVEBOUND_THREADS", "3")
-    assert cli._pool_size(8) == 3
-    monkeypatch.setenv("WAVEBOUND_THREADS", "100")
-    assert cli._pool_size(8) == 8
-    monkeypatch.setenv("WAVEBOUND_THREADS", "abc")
-    with pytest.raises(ConfigError, match="WAVEBOUND_THREADS"):
-        cli._pool_size(8)
-    monkeypatch.delenv("WAVEBOUND_THREADS")
-    assert 1 <= cli._pool_size(8) <= 4
-    assert cli._pool_size(1) == 1
+def test_sweep_runs_on_the_calling_thread():
+    calls = []
+
+    def worker(point):
+        calls.append((threading.get_ident(), point))
+        if point == (2,):
+            raise ModelError("no model at 2")
+        return point + (10 * point[0],)
+
+    points = [(k,) for k in range(5)]
+    rows, failures = cli._sweep(points, worker)
+    assert calls == [(threading.main_thread().ident, p) for p in points]
+    assert rows == [(0, 0), (1, 10), (3, 30), (4, 40)]
+    assert failures == [{"point": "(2,)", "error": "no model at 2"}]

@@ -5,10 +5,11 @@ Proves:
       defaults, parameter ranges are enforced (ConfigError), and unknown
       presets/parameters are rejected with the available names
   2.  ScalarModel validation: reaction must vanish at both ends, D and f
-      must be finite on [0, 1], D must be non-negative, and every
-      parameter used by an expression must be supplied
+      must be finite on [0, 1], D must be non-negative, every
+      parameter used by an expression must be supplied, and no
+      parameter value may be NaN or infinite
   3.  TwoSpeciesModel validation: f(0, u2) = 0 on the far-field range,
-      f(1, 0) = 0, kappa >= 0, nu in [0, 1]
+      f(1, 0) = 0, kappa finite and >= 0, nu in [0, 1], finite parameters
   4.  Derived quantities: fprime0 and dfdu1_at_front match hand
       derivatives, D0/D_at_front evaluate the diffusivity, and D_vars
       reports the variables the (parameter-bound) diffusivity uses
@@ -151,10 +152,24 @@ def test_scalar_missing_parameter():
         ScalarModel("u^m", "u*(1 - u)")
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_parameter_is_model_error(value):
+    with pytest.raises(ModelError, match="m = "):
+        ScalarModel("u^m", "u*(1 - u)", params={"m": value})
+    with pytest.raises(ModelError, match="lam = "):
+        TwoSpeciesModel(
+            "1", "u1*(1 - u1 - lam*u2)", kappa=1.0, nu=0.5, params={"lam": value}
+        )
+    with pytest.raises(ModelError, match="finite"):
+        make_preset("porous_fisher", {"m": abs(value)})
+
+
 def test_two_species_validation():
     ok = dict(kappa=1.0, nu=0.5)
     with pytest.raises(ModelError, match="kappa"):
         TwoSpeciesModel("1", "u1*(1 - u1)", kappa=-1.0, nu=0.5)
+    with pytest.raises(ModelError, match="kappa must be finite"):
+        TwoSpeciesModel("1", "u1*(1 - u1)", kappa=np.inf, nu=0.5)
     with pytest.raises(ModelError, match="nu"):
         TwoSpeciesModel("1", "u1*(1 - u1)", kappa=1.0, nu=1.5)
     with pytest.raises(ModelError, match=r"f\(0, u2\)"):

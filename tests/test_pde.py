@@ -21,8 +21,8 @@ Proves:
   8.  The moving-boundary run matches its independent references: speed
       within half a percent of the benchmark at kappa = 0.5, the
       small-kappa run lands within 10% of kappa/sqrt(3) while staying
-      above the variational bound, and a too-short run warns that the
-      boundary speed has not plateaued
+      above the variational bound, a too-short run warns that the
+      boundary speed has not plateaued, and kappa must be finite and > 0
   9.  Snapshot and CSV output: requested times are captured (t = 0 and
       t = T in every simulator, and times that fall on one step) and the
       writers produce parseable files with the documented headers
@@ -32,7 +32,9 @@ Proves:
  11.  The active window is exact: the flux simulators equal a plain
       full-grid explicit loop bit for bit (snapshots, front series, speed,
       residual, step ratio, density range), report the dt and step count
-      they used, and step fewer cells than the grid on a degenerate front
+      they used, and step fewer cells than the grid on a degenerate front;
+      the in-place moving-boundary step equals the plain expression loop
+      bit for bit (snapshots, boundary track, speed, residual)
 """
 
 import math
@@ -246,6 +248,12 @@ def test_stefan_rejects_nonpositive_kappa():
         simulate_fisher_stefan(0.0, SimConfig(L=60.0, dx=0.2, T=8.0))
 
 
+@pytest.mark.parametrize("kappa", [math.inf, math.nan])
+def test_stefan_rejects_non_finite_kappa(kappa):
+    with pytest.raises(ConfigError, match="finite"):
+        simulate_fisher_stefan(kappa, SimConfig(L=60.0, dx=0.2, T=8.0))
+
+
 # -- 9. snapshots and CSV output --------------------------------------------
 
 
@@ -397,3 +405,46 @@ def test_active_window_matches_full_grid(simulate, model, ic):
     series, speed, resid = estimate_speed([k * dt for k in steps], res.x_grid, firsts, cfg.level)
     np.testing.assert_array_equal(res.front_series, series)
     assert (res.fitted_speed, res.fit_residual) == (speed, resid)
+
+
+@pytest.mark.parametrize("kappa", [0.7, 3.0, 13.2])
+def test_stefan_in_place_step_matches_plain_loop(kappa):
+    cfg = SimConfig(L=40.0, dx=0.2, T=6.0, snapshot_times=(0.0, 3.0, 6.0))
+    res = simulate_fisher_stefan(kappa, cfg)
+    dx, dx2 = cfg.dx, cfg.dx * cfg.dx
+    n = int(math.ceil(cfg.T / (0.2 * dx2) - 1e-12))
+    dt = cfg.T / n
+    assert (res.stats["dt"], res.stats["n_steps"]) == (dt, n)
+
+    x = np.linspace(0.0, cfg.L, 201) - cfg.L
+    np.testing.assert_array_equal(res.x_grid, x)
+    rho = -np.expm1(x)
+    rho[-1] = 0.0
+    s = 0.0
+    every = max(1, n // 240)
+    snap_steps = {int(round(t / dt)): t for t in cfg.snapshot_times}
+    kept, series = {0.0: rho.copy()}, [(0.0, s)]
+    for k in range(1, n + 1):
+        sdot = -kappa * (-4.0 * rho[-2] + rho[-3]) / (2.0 * dx)
+        rhs = (
+            (rho[2:] - 2.0 * rho[1:-1] + rho[:-2]) / dx2
+            + sdot * (rho[2:] - rho[:-2]) / (2.0 * dx)
+            + rho[1:-1] * (1.0 - rho[1:-1])
+        )
+        rho[1:-1] += dt * rhs
+        rho[0] = 1.0
+        rho[-1] = 0.0
+        s += dt * sdot
+        if k in snap_steps:
+            kept[snap_steps[k]] = rho.copy()
+        if k % every == 0 or k == n:
+            series.append((k * dt, s))
+
+    for t in cfg.snapshot_times:
+        np.testing.assert_array_equal(res.snapshots[t][0], kept[t])
+    np.testing.assert_array_equal(res.front_series, np.array(series))
+    late = [(t, X) for t, X in series if 0.5 * cfg.T - 1e-12 <= t <= cfg.T + 1e-12]
+    t, X = np.array(late).T
+    slope, intercept = np.polyfit(t, X, 1)
+    resid = float(np.sqrt(np.mean((X - (slope * t + intercept)) ** 2)))
+    assert (res.fitted_speed, res.fit_residual) == (float(slope), resid)

@@ -17,7 +17,7 @@ Proves:
       delta = 1/2, and labels degenerate fronts
   5.  The moving-boundary bound: frozen spot values, monotonicity,
       c < 1, the small-kappa slope 1/sqrt 3, series/direct continuity
-      at the switchover, and kappa <= 0 rejection
+      at the switchover, and rejection of kappa <= 0 or non-finite
   6.  Integrands that defeat the endpoint weight raise
       DivergentIntegralError rather than returning garbage
   7.  Bound dominance: c_lb >= c_linear - 1e-8 over 100 seeded random
@@ -266,6 +266,12 @@ def test_stefan_bound_rejects_nonpositive():
         fisher_stefan_bound(0.0)
     with pytest.raises(ConfigError):
         fisher_stefan_bound(-2.0)
+
+
+@pytest.mark.parametrize("kappa", [math.inf, math.nan])
+def test_stefan_bound_rejects_non_finite(kappa):
+    with pytest.raises(ConfigError, match="finite"):
+        fisher_stefan_bound(kappa)
 
 
 # -- 6. divergence handling ---------------------------------------------
