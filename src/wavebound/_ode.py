@@ -7,13 +7,14 @@ rule -- scipy's tableau, initial step, error norm, step control and minimum
 step -- on Python floats, because on a length-1 state ``solve_ivp`` spends
 most of its time on array bookkeeping.  Stage sums are sequential, so the
 steps match ``solve_ivp``'s up to round-off in the cancelling error sum.
+The stage code is generated once from the tableau as straight-line float
+arithmetic, each sum written out term by term from 0.0 in tableau order.
 """
 
 from __future__ import annotations
 
 from functools import cache
 from math import inf, nextafter, sqrt
-from operator import mul
 from typing import Callable
 
 import numpy as np
@@ -32,6 +33,51 @@ def _tableau() -> tuple:
     return (A[1:n], A[n + 1 :]) + tuple(v.tolist() for v in rest)
 
 
+@cache
+def _kernels() -> tuple:
+    """The step's stage code, generated from ``_tableau()`` on first use.
+
+    * ``stages(fun, t, y, h, K0)`` -> (K, y_new): K = (K0, ..., K11), the
+      slopes of the 12 main stages, K0 = f(t, y), and the 8th-order update;
+    * ``errors(K, K12)`` -> the E5 and E3 sums, K12 = f(t_new, y_new);
+    * ``dense(fun, t, y, h, K, K12)`` -> h times the 4 ``D`` sums, after the
+      3 extra stages of the dense output.
+
+    Each sum over slopes is written out as (((0.0 + K0*a0) + K1*a1) + ...),
+    left to right in tableau order, with the repr of every coefficient and
+    the zero ones kept: a loop over the rows adding from 0.0 gives the same
+    bits, without the per-term calls.
+    """
+    A, A_dense, C, B, E5, E3, D = _tableau()
+
+    def dot(row: list) -> str:
+        src = "0.0"
+        for k, a in enumerate(row):
+            src = f"({src} + K{k}*{a!r})"
+        return src
+
+    def stage(s: int, row: list) -> str:
+        return f"    K{s} = fun(t + {C[s]!r}*h, y + {dot(row)}*h)\n"
+
+    n = len(B)
+    slopes = ", ".join(f"K{k}" for k in range(n))
+    src = (
+        "def stages(fun, t, y, h, K0):\n"
+        + "".join(stage(s, row) for s, row in enumerate(A, 1))
+        + f"    return ({slopes}), y + h*{dot(B)}\n"
+        "def errors(K, K12):\n"
+        f"    {slopes}, = K\n"
+        f"    return {dot(E5)}, {dot(E3)}\n"
+        "def dense(fun, t, y, h, K, K12):\n"
+        f"    {slopes}, = K\n"
+        + "".join(stage(s, row) for s, row in enumerate(A_dense, n + 1))
+        + f"    return [{', '.join(f'h*{dot(d)}' for d in D)}]\n"
+    )
+    namespace: dict = {}
+    exec(src, {"__builtins__": {}}, namespace)  # noqa: S102 - own codegen
+    return namespace["stages"], namespace["errors"], namespace["dense"]
+
+
 class DenseSolution:
     """Step times ``t``, step values ``y`` and the dense interpolant between
     them; ``coef[:, k]`` holds step k's 7 coefficients, as scipy's
@@ -44,7 +90,8 @@ class DenseSolution:
 
     def __call__(self, t: np.ndarray) -> np.ndarray:
         # side "left": a breakpoint belongs to the step that ends there
-        i = np.clip(np.searchsorted(self.t, t, side="left") - 1, 0, len(self._h) - 1)
+        i = np.searchsorted(self.t, t, side="left") - 1
+        i = np.minimum(np.maximum(i, 0), len(self._h) - 1)
         x = (t - self.t[i]) / self._h[i]
         F = self.coef[:, i]
         out = F[6] * x
@@ -59,7 +106,7 @@ def dop853(fun: Callable, t_end: float, y0: float, rtol: float, atol: float) -> 
     Raises StepFailureError where ``solve_ivp`` would report failure: the
     step size fell below ten times the float spacing at t.
     """
-    A, A_dense, C, B, E5, E3, D = _tableau()
+    stages, errors, dense = _kernels()
     t, y = 0.0, float(y0)
     f = fun(t, y)
     # select_initial_step for order 7; the RMS norm of one value is |value|
@@ -72,11 +119,6 @@ def dop853(fun: Callable, t_end: float, y0: float, rtol: float, atol: float) -> 
     else:
         h_abs = min(100 * h0, (0.01 / max(d1, d2)) ** 0.125, t_end)
     ts, ys, coef = [t], [y], []
-
-    def stages(K: list, rows: list, cs: list) -> None:
-        for row, c in zip(rows, cs):
-            K.append(fun(t + c * h, y + sum(map(mul, K, row), 0.0) * h))
-
     while t < t_end:
         min_step = 10.0 * (nextafter(t, inf) - t)
         h_abs, rejected = max(h_abs, min_step), False
@@ -88,13 +130,11 @@ def dop853(fun: Callable, t_end: float, y0: float, rtol: float, atol: float) -> 
                 )
             t_new = min(t + h_abs, t_end)
             h = h_abs = t_new - t
-            K = [f]
-            stages(K, A, C[1:])
-            y_new = y + h * sum(map(mul, K, B), 0.0)
-            K.append(fun(t_new, y_new))
+            K, y_new = stages(fun, t, y, h, f)
+            f_new = fun(t_new, y_new)
             scale = atol + max(abs(y), abs(y_new)) * rtol
-            e5 = sum(map(mul, K, E5), 0.0) / scale
-            e3 = sum(map(mul, K, E3), 0.0) / scale
+            e5, e3 = errors(K, f_new)
+            e5, e3 = e5 / scale, e3 / scale
             # 0 when both estimates vanish, as solve_ivp's norm returns
             err = h * (e5 * e5) / (sqrt(e5 * e5 + 0.01 * (e3 * e3)) or 1.0)
             if err < 1.0:
@@ -103,11 +143,11 @@ def dop853(fun: Callable, t_end: float, y0: float, rtol: float, atol: float) -> 
                 break
             h_abs *= max(0.2, 0.9 * err**-0.125)
             rejected = True
-        stages(K, A_dense, C[len(K) :])
         dy = y_new - y
-        dense = [dy, h * f - dy, 2.0 * dy - h * (K[12] + f)]
-        coef.append(dense + [h * sum(map(mul, K, d), 0.0) for d in D])
-        t, y, f = t_new, y_new, K[12]
+        coef.append(
+            [dy, h * f - dy, 2.0 * dy - h * (f_new + f)] + dense(fun, t, y, h, K, f_new)
+        )
+        t, y, f = t_new, y_new, f_new
         ts.append(t)
         ys.append(y)
     return DenseSolution(ts, ys, coef)

@@ -32,6 +32,7 @@ A ``FrozenBetaMesh`` caches g, log(s) and 1 - u on its GK15 nodes, so
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import ceil
 from typing import Callable, Optional, Sequence, Tuple, Union
 
@@ -243,7 +244,8 @@ def _check_beta(beta: float) -> float:
     return beta
 
 
-def _seed_points(q: int) -> list[float]:
+@lru_cache(maxsize=256)
+def _seed_points(q: int) -> tuple[float, ...]:
     """Initial s-breakpoints resolving the structure of u = s**q.
 
     For large q the whole u in (0, 1) transition is compressed into a
@@ -256,7 +258,7 @@ def _seed_points(q: int) -> list[float]:
         1e-300, 1e-200, 1e-130, 1e-80, 1e-50, 1e-30, 1e-18, 1e-10,
         1e-6, 1e-3, 0.05, 0.3, 0.7, 0.95, 0.999,
     )
-    return [float(np.exp(np.log(u) / q)) for u in u_marks]
+    return tuple(float(np.exp(np.log(u) / q)) for u in u_marks)
 
 
 def _substituted(

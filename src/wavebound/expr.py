@@ -24,6 +24,7 @@ Syntax errors carry the character offset at which they occurred.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Set, Tuple
@@ -271,7 +272,8 @@ def substitute(e: Expr, params: Mapping[str, float]) -> Expr:
     if isinstance(e, Call):
         arg = substitute(e.arg, params)
         if isinstance(arg, Const):
-            return Const(float(np.exp(arg.value)))
+            with np.errstate(over="ignore"):  # compile_fn reports the inf
+                return Const(float(np.exp(arg.value)))
         return Call(e.func, arg)
     return e
 
@@ -338,6 +340,11 @@ def render(e: Expr) -> str:
 
 def _pycode(e: Expr) -> str:
     if isinstance(e, Const):
+        if not math.isfinite(e.value):
+            raise ModelError(
+                f"constant {e.value!r} is not finite: a number beyond the float "
+                "range, or constant arithmetic that overflows"
+            )
         return repr(e.value)
     if isinstance(e, Var):
         return e.name

@@ -345,8 +345,8 @@ def _mk_landman(p: Mapping[str, float]) -> TwoSpeciesModel:
     K = _get(p, "K", 1.0)
     if not 0.0 <= lam < 1.0:
         raise ConfigError(f"landman needs lambda in [0, 1), got {lam}")
-    if K <= 0:
-        raise ConfigError(f"landman needs K > 0, got {K}")
+    if not (math.isfinite(K) and K > 0):
+        raise ConfigError(f"landman needs a finite K > 0, got {K}")
     # u2 is consumed at rate (lambda K) u1 u2 and sits at level 1 far ahead;
     # the reaction feels it through the -lambda*u2 crowding term.
     return TwoSpeciesModel(

@@ -63,6 +63,10 @@ __all__ = [
 # beyond that the analytic power-law tail takes over.
 _U1_CUT = 1e-8
 _W_MAX = -log(_U1_CUT)
+# the u1 grid of a closed-form profile, and w on its points below the cut
+_CLOSED_U1 = np.append(np.linspace(0.0, 1.0 - _U1_CUT, 160), 1.0)
+_CLOSED_W = -np.log1p(-_CLOSED_U1[:-1])
+_CLOSED_W.flags.writeable = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,9 +99,10 @@ class WaveProfile2:
         inside = w <= _W_MAX
         vals = self._interp(np.minimum(w, _W_MAX))
         # tail in log space; the exponent is clipped at 0 because the
-        # inside branch is discarded by the where() anyway
-        log_arg = np.minimum(self.tail_exponent * (_W_MAX - w), 0.0)
-        tail = self._u2_cut * np.exp(np.nan_to_num(log_arg, nan=0.0))
+        # inside branch is discarded by the where() anyway, and fmin maps
+        # the NaN of 0 * inf (p = 0 at u1 = 1) to 0
+        log_arg = np.fmin(self.tail_exponent * (_W_MAX - w), 0.0)
+        tail = self._u2_cut * np.exp(log_arg)
         out = np.where(inside, vals, tail)
         return np.clip(out, 0.0, self.nu)
 
@@ -231,7 +236,8 @@ class _SubstanceCurve:
 
     def __call__(self, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        i = np.clip(np.searchsorted(self._t, t, side="right") - 1, 0, len(self._h) - 1)
+        i = np.searchsorted(self._t, t, side="right") - 1
+        i = np.minimum(np.maximum(i, 0), len(self._h) - 1)
         s = np.minimum((t - self._t[i]) / self._h[i], 1.0)
         a, b, c, d = self._coef[:, i]
         inside = a + s * (b + s * (c + s * d))
@@ -256,8 +262,8 @@ def _closed_profile(
     rate: float,
 ) -> WaveProfile2:
     """A profile given in closed form as w -> u2, with tail exponent rate."""
-    u1_grid = np.append(np.linspace(0.0, 1.0 - _U1_CUT, 160), 1.0)
-    u2 = np.append(interp(-np.log1p(-u1_grid[:-1])), 0.0)
+    u1_grid = _CLOSED_U1.copy()
+    u2 = np.append(interp(_CLOSED_W), 0.0)
     vs = v_star(model, beta, c, u1_grid, u2)
     return WaveProfile2(
         u1_grid=u1_grid,

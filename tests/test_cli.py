@@ -19,8 +19,9 @@ Proves:
     regular file exits 2 with one ``error:`` line and nothing on stdout;
     an unknown flag prints the subcommand's usage line, not the root's;
     ``--preset`` given with ``--D``, ``--f``, ``--kappa`` or ``--nu`` exits 2
-    and points to ``--param``; a NaN or infinite parameter or kappa exits 2
-    with one ``error:`` line, not a traceback or a NaN in the JSON.
+    and points to ``--param``; a NaN or infinite parameter or kappa, or a
+    literal that parses or folds to inf, exits 2 with one ``error:`` line,
+    not a traceback or a NaN in the JSON.
  5. ``simulate scalar`` writes profiles.csv and front.csv and reports the
     fitted speed; a run whose profile never crosses the tracking level
     exits 5 without creating the output directory; ``simulate stefan``
@@ -37,8 +38,9 @@ Proves:
  8. Sweeps run serially on the calling thread, in point order; a failing
     point is listed and the points after it still run.
  9. Importing the package, its CLI and its ODE integrator leaves
-    ``scipy.integrate`` and ``concurrent.futures`` unloaded: only a
-    coupled op that solves an ODE pays for the first.
+    ``scipy.integrate`` and ``concurrent.futures`` unloaded and generates
+    no DOP853 stage code: only a coupled op that solves an ODE pays for
+    them.
 """
 
 import json
@@ -196,6 +198,19 @@ def test_non_finite_parameter_exit_2(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("D, f", [
+    ("1e308*10+u", "u*(1-u)"),
+    ("1+u", "u*(1-u)*1e400"),
+], ids=["folded", "parsed"])
+def test_non_finite_literal_exit_2(tmp_path, capsys, D, f):
+    code, out, err = _run(capsys, [
+        "bound", "scalar", "--D", D, "--f", f, "--out", str(tmp_path / "o"),
+    ])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: constant inf is not finite") and err.count("\n") == 1
+
+
 def test_param_not_a_number_exit_2(tmp_path, capsys):
     code, _, err = _run(capsys, [
         "bound", "scalar", "--preset", "porous_fisher",
@@ -299,13 +314,14 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
     src = os.path.dirname(os.path.dirname(cli.__file__))
     code = (
         "import sys, wavebound, wavebound.cli, wavebound._ode; "
-        "print('scipy.integrate' in sys.modules, 'concurrent.futures' in sys.modules)"
+        "print('scipy.integrate' in sys.modules, 'concurrent.futures' in sys.modules, "
+        "wavebound._ode._kernels.cache_info().currsize)"
     )
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False False"
+    assert out.stdout.strip() == "False False 0"
 
 
 def test_version_flag(capsys):

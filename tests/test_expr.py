@@ -16,13 +16,15 @@ Proves:
   6.  compile_fn produces vectorised callables that broadcast constants
       and expressions without the first variable to the first argument's
       shape, keep the argument's shape otherwise, and reject stray
-      variables and unbound parameters
+      variables, unbound parameters and constants that are inf or NaN,
+      parsed or folded
   7.  render emits text that re-parses to the identical tree (property
       test over random trees)
 """
 
 import math
 import operator
+import warnings
 
 import numpy as np
 import pytest
@@ -243,6 +245,23 @@ def test_compile_fn_rejects_stray_names():
         compile_fn(parse("a * u"))
     with pytest.raises(ModelError, match="allowed variables"):
         compile_fn(parse("u1 * u2", variables=("u1", "u2")), variables=("u1",))
+
+
+@pytest.mark.parametrize(
+    "text, params, value",
+    [
+        ("u*(1 - u)*1e400", {}, "inf"),
+        ("1e308*10 + u", {}, "inf"),
+        ("u*(1e308*10 - 1e308*10)", {}, "nan"),
+        ("u*exp(1000)", {}, "inf"),
+        ("a*u", {"a": -math.inf}, "-inf"),
+    ],
+)
+def test_compile_fn_rejects_non_finite_constants(text, params, value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the error alone, no overflow warning
+        with pytest.raises(ModelError, match=f"constant {value} is not finite"):
+            compile_fn(parse(text), params=params)
 
 
 # -- 7. render/parse round trip -----------------------------------------

@@ -2,8 +2,9 @@
 
 Proves:
   1.  The preset registry builds every named model with the documented
-      defaults, parameter ranges are enforced (ConfigError), and unknown
-      presets/parameters are rejected with the available names
+      defaults, parameter ranges are enforced (ConfigError; a landman K
+      that is inf or NaN is named as K, not as the kappa derived from it),
+      and unknown presets/parameters are rejected with the available names
   2.  ScalarModel validation: reaction must vanish at both ends, D and f
       must be finite on [0, 1], D must be non-negative, every
       parameter used by an expression must be supplied, and no
@@ -106,6 +107,15 @@ def test_landman_preset():
 def test_preset_range_errors(name, params):
     with pytest.raises(ConfigError):
         make_preset(name, params)
+
+
+@pytest.mark.parametrize(
+    "params", [{"K": np.inf}, {"K": np.nan}, {"lambda": 0.0, "K": np.inf}]
+)
+def test_landman_non_finite_K_names_K(params):
+    # K = inf would otherwise surface as a non-finite kappa = lambda K
+    with pytest.raises(ConfigError, match="landman needs a finite K > 0"):
+        make_preset("landman", params)
 
 
 def test_unknown_preset_lists_names():

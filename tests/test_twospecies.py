@@ -10,6 +10,8 @@ Proves:
       logistic form for D = 1 - u2, across random (kappa, nu, beta, c)
   3.  WaveProfile2 invariants: u2 starts at nu, decays monotonically to
       0, stays inside [0, nu], and is continuous across the tail seam;
+      past the cut, u2_at equals its np.minimum/np.nan_to_num form on all
+      three routes, with tail exponent p > 0 and p = 0 (u1 = 1 included);
       for D = D(u2) the profile read off the model's one substance curve
       matches a direct DOP853 solve, does not depend on which (beta, c)
       was asked first, and a D that vanishes at u2 = 0 or stalls the
@@ -23,8 +25,8 @@ Proves:
   6.  solve_implicit_speed converges with honest residuals, never
       undercuts the linear speed, reports epsilon = kappa nu / c, and
       reproduces pinned ecm_b, ecm_c and general-D speeds to 1e-8; three
-      general-D speeds hold to 1e-12 with beta* and the iteration count
-      exact; one sup-over-beta search evaluates G at each beta once
+      general-D speeds, beta* and the iteration count hold bit for bit;
+      one sup-over-beta search evaluates G at each beta once
   7.  The adjoint quadrature matches the hand-derived co-state integral
       lambda * integral q phi u2 dq for the crowding model
   8.  pontryagin_residual vanishes for decoupled models and stays within
@@ -32,6 +34,7 @@ Proves:
       validity gates
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -176,6 +179,43 @@ def test_profile_tail_seam_continuity():
     just_inside = prof.u2_at(np.array([1.0 - 1.0000001e-8]))[0]
     just_outside = prof.u2_at(np.array([1.0 - 0.9999999e-8]))[0]
     assert just_outside == pytest.approx(just_inside, abs=1e-9)
+
+
+def _minimum_nan_to_num_u2_at(prof, u1):
+    """WaveProfile2.u2_at with its tail exponent formed by np.minimum and
+    np.nan_to_num, as before np.fmin took their place."""
+    w_max = -math.log(1e-8)
+    with np.errstate(divide="ignore"):
+        w = -np.log1p(-u1)
+    vals = prof._interp(np.minimum(w, w_max))
+    log_arg = np.minimum(prof.tail_exponent * (w_max - w), 0.0)
+    tail = prof._u2_cut * np.exp(np.nan_to_num(log_arg, nan=0.0))
+    return np.clip(np.where(w <= w_max, vals, tail), 0.0, prof.nu)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        make_preset("landman", {"lambda": 0.5, "K": 2.0}),
+        make_preset("ecm_b", {"kappa": 2.0, "nu": 0.6}),
+        TwoSpeciesModel("1 + 0.5*u1 - u2", "u1*(1 - u1 - u2)", kappa=1.05, nu=0.5),
+    ],
+    ids=["constant_D", "D_of_u2", "general_D"],
+)
+@pytest.mark.parametrize("zero_tail", [False, True], ids=["p>0", "p=0"])
+def test_u2_at_tail_matches_minimum_nan_to_num(model, zero_tail):
+    prof = solve_u2_profile(model, 0.3, 1.5)
+    assert prof.tail_exponent > 0.0
+    if zero_tail:
+        prof = dataclasses.replace(prof, tail_exponent=0.0)
+    u1 = np.array([0.0, 0.5, 1.0 - 1e-8, 1.0 - 1e-9, 1.0])
+    with np.errstate(invalid="ignore"):  # 0 * inf at u1 = 1 when p = 0
+        got = prof.u2_at(u1)
+        want = _minimum_nan_to_num_u2_at(prof, u1)
+    np.testing.assert_array_equal(got, want)
+    # p = 0 holds the cut value out to u1 = 1; p > 0 decays past the cut
+    assert got[-1] == (prof._u2_cut if zero_tail else 0.0)
+    assert (got[3] == prof._u2_cut) == zero_tail
 
 
 def _reference_ecm_b_profile(kappa, nu, beta, c, u1):
@@ -346,8 +386,9 @@ def test_implicit_speed_regression_pins(model, want):
     assert res.c == pytest.approx(want, rel=1e-8)
 
 
-# general-D speeds of the solve_ivp profile solves that the scalar DOP853
-# replaced; it takes the same steps up to round-off in the step-size factor
+# general-D speeds of the scalar DOP853 with the stage sums looped over the
+# tableau rows; its generated stage code does the same additions, so the
+# speeds are equal bit for bit (float.hex)
 @pytest.mark.parametrize(
     "D, f, kappa, nu, want, beta_star, iterations",
     [
@@ -356,12 +397,12 @@ def test_implicit_speed_regression_pins(model, want):
         ("1 + u1*u2", "u1*(1 - u1)*(1 + 2*u1)", 3.0, 0.4,
          2.0075376029593226, 1.8390908154271441, 5),
         ("1 + u1 - 0.5*u2", "u1*(1 - u1 - 0.5*u2)", 5.0, 0.6,
-         1.4691589991323393, 1.6143393668474946, 15),
+         1.469158999132339, 1.6143393668474946, 15),
     ],
 )
 def test_general_D_speed_pins_tight(D, f, kappa, nu, want, beta_star, iterations):
     res = solve_implicit_speed(TwoSpeciesModel(D, f, kappa=kappa, nu=nu))
-    assert res.c == pytest.approx(want, rel=1e-12)
+    assert res.c.hex() == want.hex()
     assert res.beta_star == beta_star
     assert res.iterations == iterations
 
