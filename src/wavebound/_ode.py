@@ -100,8 +100,11 @@ class DenseSolution:
         return out + self.y[i]
 
 
-def dop853(fun: Callable, t_end: float, y0: float, rtol: float, atol: float) -> DenseSolution:
-    """Integrate y' = fun(t, y) from (0, y0) to t_end > 0.
+def dop853(
+    fun: Callable, t_end: float, y0: float, rtol: float, atol: float, y_stop: float = -inf
+) -> DenseSolution:
+    """Integrate y' = fun(t, y) from (0, y0) to t_end > 0, or up to the first
+    step that ends at or below ``y_stop`` (the default never stops early).
 
     Raises StepFailureError where ``solve_ivp`` would report failure: the
     step size fell below ten times the float spacing at t.
@@ -119,7 +122,7 @@ def dop853(fun: Callable, t_end: float, y0: float, rtol: float, atol: float) -> 
     else:
         h_abs = min(100 * h0, (0.01 / max(d1, d2)) ** 0.125, t_end)
     ts, ys, coef = [t], [y], []
-    while t < t_end:
+    while t < t_end and y > y_stop:
         min_step = 10.0 * (nextafter(t, inf) - t)
         h_abs, rejected = max(h_abs, min_step), False
         while True:

@@ -152,6 +152,17 @@ def _adapt(
         errs = np.concatenate((errs[keep], new_errs))
 
 
+def _breakpoints(a: float, b: float, points: Optional[Sequence[float]]) -> np.ndarray:
+    """a, b and the ``points`` strictly between them, sorted; raises
+    QuadratureError unless a < b (a NaN end included)."""
+    if not b > a:
+        raise QuadratureError(f"empty integration range [{a}, {b}]")
+    brk = [float(a), float(b)]
+    if points is not None:
+        brk.extend(float(p) for p in points if a < p < b)
+    return np.array(sorted(set(brk)))
+
+
 def quad(
     f: Callable[[np.ndarray], np.ndarray],
     a: float,
@@ -169,12 +180,7 @@ def quad(
     known awkward locations.  Raises QuadratureError when the panel budget
     is exhausted before the tolerance is met.
     """
-    if not b > a:
-        raise QuadratureError(f"empty integration range [{a}, {b}]")
-    brk = [float(a), float(b)]
-    if points is not None:
-        brk.extend(float(p) for p in points if a < p < b)
-    brk = np.array(sorted(set(brk)))
+    brk = _breakpoints(a, b, points)
     value, err, _, _ = _adapt(f, brk[:-1], brk[1:], epsabs, epsrel, limit)
     return value, err
 
@@ -190,10 +196,7 @@ def adaptive_mesh(
     points: Optional[Sequence[float]] = None,
 ) -> np.ndarray:
     """Run the adaptive pass and return the sorted breakpoints it settled on."""
-    brk = [float(a), float(b)]
-    if points is not None:
-        brk.extend(float(p) for p in points if a < p < b)
-    brk = np.array(sorted(set(brk)))
+    brk = _breakpoints(a, b, points)
     _, _, pa, pb = _adapt(f, brk[:-1], brk[1:], epsabs, epsrel, limit)
     order = np.argsort(pa)
     return np.concatenate((pa[order], [float(b)]))

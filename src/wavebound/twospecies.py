@@ -21,6 +21,10 @@ profile.  ``solve_implicit_speed`` finds the self-consistent speed; the
 weak-coupling parameter epsilon = kappa nu / c measures how far the
 slaving approximation is trusted, and the adjoint diagnostics quantify
 the neglected term in the underlying optimality system.
+
+Every slaved profile, whichever way u2(u1) is obtained, is a
+``WaveProfile2`` built by ``_closed_profile`` from a map w -> u2 on
+w = -ln(1 - u1) and the exponent of its power-law tail.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ from .errors import (
     ConfigError,
     DegenerateDiffusionError,
     NonConvergenceError,
-    StepFailureError,
 )
 from .model import TwoSpeciesModel
 from .varbound import _beta, _log_gamma
@@ -80,28 +83,26 @@ class WaveProfile2:
     c: float
     nu: float
     tail_exponent: float
-    _interp: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    _u2_cut: float = 0.0
+    _interp: Callable[[np.ndarray], np.ndarray]
+    _u2_cut: float
 
     def u2_at(self, u1: np.ndarray) -> np.ndarray:
         """Evaluate u2 at arbitrary u1 in [0, 1] (vectorised).
 
-        Up to u1 = 1 - 1e-8 the profile's own interpolant is used (the
+        Up to u1 = 1 - 1e-8 the profile's own map w -> u2 is used (the
         closed form, the substance curve, or the ODE solver's dense
         output); past it the analytic tail
         u2 = u2(cut) ((1-u1)/1e-8)^p with p = kappa beta D(1,0) / c^2.
         """
         u1 = np.asarray(u1, dtype=float)
-        if self._interp is None:
-            return np.full(u1.shape, self.nu)
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):
             w = -np.log1p(-u1)
-        inside = w <= _W_MAX
-        vals = self._interp(np.minimum(w, _W_MAX))
-        # tail in log space; the exponent is clipped at 0 because the
-        # inside branch is discarded by the where() anyway, and fmin maps
-        # the NaN of 0 * inf (p = 0 at u1 = 1) to 0
-        log_arg = np.fmin(self.tail_exponent * (_W_MAX - w), 0.0)
+            inside = w <= _W_MAX
+            vals = self._interp(np.minimum(w, _W_MAX))
+            # tail in log space; the exponent is clipped at 0 because the
+            # inside branch is discarded by the where() anyway, and fmin
+            # maps the NaN of 0 * inf (p = 0 at u1 = 1) to 0
+            log_arg = np.fmin(self.tail_exponent * (_W_MAX - w), 0.0)
         tail = self._u2_cut * np.exp(log_arg)
         out = np.where(inside, vals, tail)
         return np.clip(out, 0.0, self.nu)
@@ -167,21 +168,16 @@ class _SubstanceCurve:
 
         dU/dt = -U D(U),    U(0) = nu.
 
-    U is integrated once with DOP853 (rtol 1e-12) until it falls to
-    1e-12 nu and continued past that point by the exponential tail at rate
-    D(0); in between, each solver step is split into 16 cubic Hermite
-    panels built from the exact slope -U D(U), so evaluation is a
-    searchsorted plus one polynomial, all in numpy.
+    U is integrated once with ``_ode.dop853`` (rtol 1e-12) up to the
+    first step that ends at or below 1e-12 nu, read through its dense output
+    up to there and continued past it by the exponential tail at rate D(0).
     """
 
     _TINY = 1e-12
-    _PANELS_PER_STEP = 16
     # if U has not decayed by this time, D(u2) vanishes somewhere in (0, nu]
     _T_CAP = 1e6
 
     def __init__(self, model: TwoSpeciesModel) -> None:
-        from scipy.integrate import solve_ivp  # deferred: slow to import
-
         D_fn, nu = model.D_fn, model.nu
         self.rate = float(D_fn(0.0, 0.0))
         if self.rate <= 1e-14:
@@ -190,57 +186,22 @@ class _SubstanceCurve:
                 "far behind the front"
             )
 
-        def rhs(t: float, y: np.ndarray) -> np.ndarray:
-            return -y * np.asarray(D_fn(0.0, np.clip(y, 0.0, nu)), dtype=float)
+        def rhs(t: float, y: float) -> float:
+            return -y * float(D_fn(0.0, 0.0 if y < 0.0 else nu if y > nu else y))
 
-        def decayed(t: float, y: np.ndarray) -> float:
-            return y[0] - self._TINY * nu
-
-        decayed.terminal = True  # type: ignore[attr-defined]
-        sol = solve_ivp(
-            rhs,
-            (0.0, self._T_CAP),
-            np.array([nu]),
-            method="DOP853",
-            rtol=1e-12,
-            atol=1e-3 * self._TINY * nu,
-            dense_output=True,
-            events=decayed,
-        )
-        if not sol.success:
-            raise StepFailureError(
-                f"substance-curve integration failed: {sol.message}"
-            )
-        if sol.status != 1:
+        stop = self._TINY * nu
+        self._sol = dop853(rhs, self._T_CAP, nu, 1e-12, 1e-3 * stop, y_stop=stop)
+        self._t_end = float(self._sol.t[-1])
+        self._U_end = float(self._sol.y[-1])
+        if self._U_end > stop:
             raise DegenerateDiffusionError(
                 "D(u2) vanishes between 0 and nu: the slaved substance "
                 "never decays"
             )
-        steps = sol.t
-        frac = np.arange(self._PANELS_PER_STEP) / self._PANELS_PER_STEP
-        nodes = np.append(
-            (steps[:-1, None] + np.diff(steps)[:, None] * frac).ravel(), steps[-1]
-        )
-        U = sol.sol(nodes)[0]
-        U[0] = nu
-        h = np.diff(nodes)
-        slope = -U * np.asarray(D_fn(np.zeros_like(U), U), dtype=float)
-        y0, y1, d0, d1 = U[:-1], U[1:], h * slope[:-1], h * slope[1:]
-        self._t = nodes
-        self._h = h
-        self._coef = np.stack(
-            [y0, d0, 3.0 * (y1 - y0) - 2.0 * d0 - d1, 2.0 * (y0 - y1) + d0 + d1]
-        )
-        self._t_end = float(nodes[-1])
-        self._U_end = float(U[-1])
 
     def __call__(self, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        i = np.searchsorted(self._t, t, side="right") - 1
-        i = np.minimum(np.maximum(i, 0), len(self._h) - 1)
-        s = np.minimum((t - self._t[i]) / self._h[i], 1.0)
-        a, b, c, d = self._coef[:, i]
-        inside = a + s * (b + s * (c + s * d))
+        inside = self._sol(np.minimum(t, self._t_end))
         tail = self._U_end * np.exp(-self.rate * np.maximum(t - self._t_end, 0.0))
         return np.where(t <= self._t_end, inside, tail)
 
@@ -261,9 +222,13 @@ def _closed_profile(
     interp: Callable[[np.ndarray], np.ndarray],
     rate: float,
 ) -> WaveProfile2:
-    """A profile given in closed form as w -> u2, with tail exponent rate."""
+    """The profile u2 = interp(w) up to the cut, with tail exponent rate.
+
+    Tabulated on a fixed 161-point u1 grid; u2 at u1 = 1 is the far field
+    nu when nothing degrades the substance (kappa = 0), 0 otherwise.
+    """
     u1_grid = _CLOSED_U1.copy()
-    u2 = np.append(interp(_CLOSED_W), 0.0)
+    u2 = np.append(interp(_CLOSED_W), model.nu if model.kappa == 0.0 else 0.0)
     vs = v_star(model, beta, c, u1_grid, u2)
     return WaveProfile2(
         u1_grid=u1_grid,
@@ -285,14 +250,16 @@ def solve_u2_profile(model: TwoSpeciesModel, beta: float, c: float) -> WaveProfi
     u1 near the far edge; substituting w = -ln(1 - u1) removes the 1/(1-u1)
     factor entirely, leaving du2/dw = -eta u2 D(u1(w), u2) with eta =
     kappa beta / c^2, carried to u1 = 1 - 1e-8 and closed with the
-    analytic tail u2 ~ (1 - u1)^p, p = eta D(1, 0).  Three routes:
+    analytic tail u2 ~ (1 - u1)^p, p = eta D(1, 0).  Four routes, each
+    handing its map w -> u2 and p to ``_closed_profile``:
 
+    * decoupled (kappa = 0 or nu = 0): u2 = nu throughout, p = 0;
     * constant D: the exact power law u2 = nu (1 - u1)^(eta D);
     * D = D(u2): u2(w) = U(eta w) on the model's substance curve U, which
       is solved once per model and shared by every (beta, c);
     * general D: one integration per (beta, c), rtol 1e-10, on the scalar
       DOP853 of ``_ode``, which takes solve_ivp's steps in plain floats
-      and serves its dense output to ``u2_at``.
+      and is read through its dense output.
     """
     if not c > 0.0:
         raise ConfigError(f"c must be > 0, got {c}")
@@ -302,17 +269,8 @@ def solve_u2_profile(model: TwoSpeciesModel, beta: float, c: float) -> WaveProfi
     coef = kappa * beta / (c * c)
 
     if kappa == 0.0 or nu == 0.0:
-        u1_grid = np.linspace(0.0, 1.0, 65)
-        u2 = np.full_like(u1_grid, nu)
-        vs = v_star(model, beta, c, u1_grid, u2)
-        return WaveProfile2(
-            u1_grid=u1_grid,
-            u2=u2,
-            v_star=vs,
-            beta=beta,
-            c=c,
-            nu=nu,
-            tail_exponent=0.0,
+        return _closed_profile(
+            model, beta, c, lambda w: np.full(np.shape(w), nu), 0.0
         )
 
     if not model.D_vars:
@@ -333,22 +291,16 @@ def solve_u2_profile(model: TwoSpeciesModel, beta: float, c: float) -> WaveProfi
     D_fn = model.D_fn
 
     def rhs(w: float, y: float) -> float:
-        return -coef * y * float(D_fn(-expm1(-w), min(max(y, 0.0), nu)))
+        u2 = 0.0 if y < 0.0 else nu if y > nu else y
+        return -coef * y * float(D_fn(-expm1(-w), u2))
 
     sol = dop853(rhs, _W_MAX, nu, 1e-10, 1e-14 * max(nu, 1e-6))
-    u1_grid = np.append(-np.expm1(-sol.t), 1.0)
-    u2 = np.append(np.clip(sol.y, 0.0, nu), 0.0)
-    vs = v_star(model, beta, c, u1_grid, u2)
-    return WaveProfile2(
-        u1_grid=u1_grid,
-        u2=u2,
-        v_star=vs,
-        beta=beta,
-        c=c,
-        nu=nu,
-        tail_exponent=coef * float(D_fn(1.0, 0.0)),
-        _interp=lambda w: np.clip(sol(w), 0.0, nu),
-        _u2_cut=float(sol.y[-1]),
+    return _closed_profile(
+        model,
+        beta,
+        c,
+        lambda w: np.clip(sol(w), 0.0, nu),
+        coef * float(D_fn(1.0, 0.0)),
     )
 
 

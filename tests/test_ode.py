@@ -22,6 +22,8 @@ Proves:
       (each profile rejects 3 to 6 steps), ``dop853``'s step times, step
       values and dense coefficients equal, bit for bit, those of that
       loop, kept here as the reference
+  5.  ``y_stop`` ends the run at the first step whose value is at or below
+      it, and every step up to there equals the unstopped run's bit for bit
 """
 
 from functools import reduce
@@ -174,3 +176,15 @@ def test_generated_kernels_match_the_stage_loop(fun, y0, t_end, rtol, atol):
     np.testing.assert_array_equal(ours.t, t)
     np.testing.assert_array_equal(ours.y, y)
     np.testing.assert_array_equal(ours.coef, np.array(coef).T)
+
+
+def test_y_stop_ends_at_the_first_step_at_or_below_it():
+    fun, y_stop = (lambda t, y: -y), 1e-3
+    full = dop853(fun, 10.0, 1.0, 1e-8, 1e-12)
+    stopped = dop853(fun, 10.0, 1.0, 1e-8, 1e-12, y_stop=y_stop)
+    n = len(stopped.t)
+    assert stopped.y[-1] <= y_stop < stopped.y[-2]
+    assert n < len(full.t)
+    np.testing.assert_array_equal(stopped.t, full.t[:n])
+    np.testing.assert_array_equal(stopped.y, full.y[:n])
+    np.testing.assert_array_equal(stopped.coef, full.coef[:, : n - 1])

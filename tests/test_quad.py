@@ -20,6 +20,8 @@ Proves:
       beta, and an array of betas matches the scalar calls to 1e-13;
       a g that is not finite on the mesh raises QuadratureError, and so
       does a beta outside [0, 2) in the array
+  10. adaptive_mesh refuses an empty, reversed or NaN range with
+      QuadratureError, as quad does, instead of returning a mesh
 """
 
 import math
@@ -83,6 +85,12 @@ def test_non_finite_rejected():
 
     with pytest.raises(QuadratureError):
         quad(bad, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("a, b", [(1.0, 0.0), (0.0, 0.0), (0.0, math.nan)])
+def test_adaptive_mesh_rejects_empty_range(a, b):
+    with pytest.raises(QuadratureError, match="empty integration range"):
+        adaptive_mesh(np.cos, a, b)
 
 
 def test_beta_weighted_matches_beta_function():
