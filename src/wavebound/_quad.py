@@ -27,6 +27,9 @@ Two layers live here:
 
 A ``FrozenBetaMesh`` caches g, log(s) and 1 - u on its GK15 nodes, so
 ``beta_weighted_on_mesh`` only forms the weights, for one beta or an array.
+``frozen_beta_meshes`` adapts the meshes of many betas in lockstep, and
+``quad`` and ``adaptive_mesh`` are its one-partition case: one adaptive
+loop, ``_adapt``, serves all three.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import ceil
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -46,6 +49,7 @@ __all__ = [
     "adaptive_mesh",
     "beta_weighted_integral",
     "frozen_beta_mesh",
+    "frozen_beta_meshes",
     "beta_weighted_on_mesh",
     "FrozenBetaMesh",
 ]
@@ -104,7 +108,7 @@ def _eval_panels(
     """Kronrod value and |K15 - G7| error estimate for each panel [a_i, b_i]."""
     x, half = _nodes(a, b)
     y = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         bad = x.ravel()[~np.isfinite(y.ravel())][0]
         raise QuadratureError(f"integrand is not finite at x = {bad!r}")
     vals = half * (y @ _K15_WEIGHTS)
@@ -113,43 +117,89 @@ def _eval_panels(
 
 
 def _adapt(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: np.ndarray,
-    b: np.ndarray,
+    integrand: Callable[[List[int], List[int]], Callable[[np.ndarray], np.ndarray]],
+    parts: Sequence[Tuple[np.ndarray, np.ndarray]],
     epsabs: float,
     epsrel: float,
     limit: int,
-) -> Tuple[float, float, np.ndarray, np.ndarray]:
-    vals, errs = _eval_panels(f, a, b)
-    while True:
-        total = float(vals.sum())
-        err = float(errs.sum())
-        tol = max(epsabs, epsrel * abs(total))
-        if err <= tol:
-            return total, err, a, b
-        if len(a) >= limit:
-            raise QuadratureError(
-                f"quadrature did not reach tolerance {tol:.3e} with {limit} "
-                f"panels (error estimate {err:.3e})"
-            )
-        # Split the worst panels: the shortest prefix (by decreasing error)
-        # carrying at least half the total error estimate.
-        order = np.argsort(errs)[::-1]
-        cum = np.cumsum(errs[order])
-        k = int(np.searchsorted(cum, 0.5 * err)) + 1
-        k = min(k, limit - len(a))
-        idx = order[:k]
-        keep = np.ones(len(a), dtype=bool)
-        keep[idx] = False
-        lo, hi = a[idx], b[idx]
-        mid = 0.5 * (lo + hi)
-        new_a = np.concatenate((lo, mid))
-        new_b = np.concatenate((mid, hi))
-        new_vals, new_errs = _eval_panels(f, new_a, new_b)
-        a = np.concatenate((a[keep], new_a))
-        b = np.concatenate((b[keep], new_b))
-        vals = np.concatenate((vals[keep], new_vals))
-        errs = np.concatenate((errs[keep], new_errs))
+) -> List[Tuple[float, float, np.ndarray]]:
+    """Refine several partitions in lockstep; for each, its value, error
+    estimate and the left ends of its adapted panels.
+
+    Partition j starts as the panels [a_i, b_i] of ``parts[j]``.  Each
+    round evaluates the new panels of every unfinished partition with one
+    ``_eval_panels`` call on ``integrand(active, counts)``: the round's
+    panels come in order, ``counts[k]`` of them from partition
+    ``active[k]``.  Each partition then applies the split rule to its own
+    panels alone.  A panel's value can differ in the last bit from a
+    one-partition round (BLAS rounds a row of ``y @ w`` by its place in
+    the call), so only a split decision resting on that bit would move.
+    """
+    done: List[Tuple[float, float, np.ndarray]] = [None] * len(parts)
+    kept: List[Optional[Tuple[np.ndarray, ...]]] = [None] * len(parts)
+    active = list(range(len(parts)))
+    round_a = [a for a, _ in parts]
+    round_b = [b for _, b in parts]
+    while active:
+        counts = [len(a) for a in round_a]
+        round_vals, round_errs = _eval_panels(
+            integrand(active, counts), _concat(round_a), _concat(round_b)
+        )
+        unfinished, next_a, next_b = [], [], []
+        stop = 0
+        for j, a, b, count in zip(active, round_a, round_b, counts):
+            start, stop = stop, stop + count
+            vals, errs = round_vals[start:stop], round_errs[start:stop]
+            if kept[j] is not None:
+                ka, kb, kvals, kerrs = kept[j]
+                a, b = np.concatenate((ka, a)), np.concatenate((kb, b))
+                vals = np.concatenate((kvals, vals))
+                errs = np.concatenate((kerrs, errs))
+            total = float(vals.sum())
+            err = float(errs.sum())
+            tol = max(epsabs, epsrel * abs(total))
+            if err <= tol:
+                done[j] = (total, err, a)
+                continue
+            if len(a) >= limit:
+                raise QuadratureError(
+                    f"quadrature did not reach tolerance {tol:.3e} with {limit} "
+                    f"panels (error estimate {err:.3e})"
+                )
+            # Split the worst panels: the shortest prefix (by decreasing
+            # error) carrying at least half the total error estimate.
+            order = np.argsort(errs)[::-1]
+            cum = np.cumsum(errs[order])
+            k = int(np.searchsorted(cum, 0.5 * err)) + 1
+            k = min(k, limit - len(a))
+            idx = order[:k]
+            keep = np.ones(len(a), dtype=bool)
+            keep[idx] = False
+            lo, hi = a[idx], b[idx]
+            mid = 0.5 * (lo + hi)
+            kept[j] = (a[keep], b[keep], vals[keep], errs[keep])
+            unfinished.append(j)
+            next_a.append(np.concatenate((lo, mid)))
+            next_b.append(np.concatenate((mid, hi)))
+        active, round_a, round_b = unfinished, next_a, next_b
+    return done
+
+
+def _concat(arrays: List[np.ndarray]) -> np.ndarray:
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def _adapt_one(
+    f: Callable[[np.ndarray], np.ndarray],
+    brk: np.ndarray,
+    epsabs: float,
+    epsrel: float,
+    limit: int,
+) -> Tuple[float, float, np.ndarray]:
+    """``_adapt`` on the one partition with breakpoints ``brk``: value,
+    error estimate and the adapted panels' left ends."""
+    (result,) = _adapt(lambda *_: f, [(brk[:-1], brk[1:])], epsabs, epsrel, limit)
+    return result
 
 
 def _breakpoints(a: float, b: float, points: Optional[Sequence[float]]) -> np.ndarray:
@@ -180,8 +230,7 @@ def quad(
     known awkward locations.  Raises QuadratureError when the panel budget
     is exhausted before the tolerance is met.
     """
-    brk = _breakpoints(a, b, points)
-    value, err, _, _ = _adapt(f, brk[:-1], brk[1:], epsabs, epsrel, limit)
+    value, err, _ = _adapt_one(f, _breakpoints(a, b, points), epsabs, epsrel, limit)
     return value, err
 
 
@@ -196,10 +245,13 @@ def adaptive_mesh(
     points: Optional[Sequence[float]] = None,
 ) -> np.ndarray:
     """Run the adaptive pass and return the sorted breakpoints it settled on."""
-    brk = _breakpoints(a, b, points)
-    _, _, pa, pb = _adapt(f, brk[:-1], brk[1:], epsabs, epsrel, limit)
-    order = np.argsort(pa)
-    return np.concatenate((pa[order], [float(b)]))
+    _, _, pa = _adapt_one(f, _breakpoints(a, b, points), epsabs, epsrel, limit)
+    return _sorted_mesh(pa, b)
+
+
+def _sorted_mesh(pa: np.ndarray, b: float) -> np.ndarray:
+    """The breakpoints of an adapted partition: its panel starts sorted, then b."""
+    return np.concatenate((np.sort(pa), [float(b)]))
 
 
 def quad_on_mesh(
@@ -248,8 +300,9 @@ def _check_beta(beta: float) -> float:
 
 
 @lru_cache(maxsize=256)
-def _seed_points(q: int) -> tuple[float, ...]:
-    """Initial s-breakpoints resolving the structure of u = s**q.
+def _seed_breakpoints(q: int) -> np.ndarray:
+    """Initial s-breakpoints in [0, 1] resolving the structure of u = s**q
+    (cached and shared, so read-only).
 
     For large q the whole u in (0, 1) transition is compressed into a
     layer of width ~1/q at s = 1; a coarse first panel can miss it
@@ -261,13 +314,23 @@ def _seed_points(q: int) -> tuple[float, ...]:
         1e-300, 1e-200, 1e-130, 1e-80, 1e-50, 1e-30, 1e-18, 1e-10,
         1e-6, 1e-3, 0.05, 0.3, 0.7, 0.95, 0.999,
     )
-    return tuple(float(np.exp(np.log(u) / q)) for u in u_marks)
+    brk = _breakpoints(0.0, 1.0, [float(np.exp(np.log(u) / q)) for u in u_marks])
+    brk.flags.writeable = False
+    return brk
 
 
 def _substituted(
-    g: Callable[[np.ndarray], np.ndarray], beta: float, q: int
+    g: Callable[[np.ndarray], np.ndarray],
+    beta: Union[float, np.ndarray],
+    q: Union[int, np.ndarray],
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """The s-space integrand q * s**(q*(2-beta)-1) * g(u) * (1-u)**beta."""
+    """The s-space integrand q * s**(q*(2-beta)-1) * g(u) * (1-u)**beta.
+
+    ``beta`` and ``q`` may also be arrays with one entry per abscissa.
+    The operations are the same either way, except that NumPy forms
+    (1-u)**0.5 by sqrt for a scalar exponent and by pow for an array, so
+    at beta = 0.5 the two can differ in the last bit.
+    """
     s_exp = q * (2.0 - beta) - 1.0
 
     def integrand(s: np.ndarray) -> np.ndarray:
@@ -329,49 +392,74 @@ def beta_weighted_integral(
     if probe:
         _probe_divergence(g, beta)
     q = _q_for(beta)
-    value, _ = quad(
-        _substituted(g, beta, q),
-        0.0,
-        1.0,
-        epsabs=epsabs,
-        epsrel=epsrel,
-        limit=limit,
-        points=_seed_points(q),
+    value, _, _ = _adapt_one(
+        _substituted(g, beta, q), _seed_breakpoints(q), epsabs, epsrel, limit
     )
     return value
+
+
+def frozen_beta_meshes(
+    g: Callable[[np.ndarray], np.ndarray],
+    betas: Sequence[float],
+    *,
+    epsabs: float = DEFAULT_EPS,
+    epsrel: float = DEFAULT_EPS,
+    limit: int = 4096,
+) -> List[FrozenBetaMesh]:
+    """Adapt a partition for the substituted integrand at each beta, then
+    freeze them all: one mesh per beta, in order.
+
+    The partitions adapt in lockstep, one integrand call per round with
+    per-node q and beta, and the node caches of all meshes take one ``g``
+    call.  Pass the largest beta of each intended bracket so the frozen
+    exponent regularises the whole bracket.
+    """
+    betas = np.array([_check_beta(beta) for beta in betas])
+    qs = np.array([_q_for(beta) for beta in betas])
+
+    def integrand(active: List[int], counts: List[int]):
+        nodes = [len(_K15_NODES) * count for count in counts]
+        return _substituted(
+            g, np.repeat(betas[active], nodes), np.repeat(qs[active], nodes)
+        )
+
+    parts = [(brk[:-1], brk[1:]) for brk in map(_seed_breakpoints, qs)]
+    adapted = _adapt(integrand, parts, epsabs, epsrel, limit)
+    meshes = [_sorted_mesh(pa, 1.0) for _, _, pa in adapted]
+    x, half = _nodes(
+        np.concatenate([mesh[:-1] for mesh in meshes]),
+        np.concatenate([mesh[1:] for mesh in meshes]),
+    )
+    log_s = np.log(x)
+    log_u = np.repeat(qs, [len(mesh) - 1 for mesh in meshes])[:, None] * log_s
+    g_u = np.broadcast_to(np.asarray(g(np.exp(log_u)), dtype=float), x.shape)
+    one_minus_u = -np.expm1(log_u)
+    frozen = []
+    stop = 0
+    for q, mesh in zip(qs, meshes):
+        rows = slice(stop, stop + len(mesh) - 1)
+        stop = rows.stop
+        frozen.append(
+            FrozenBetaMesh(
+                int(q), mesh, half[rows], log_s[rows], g_u[rows], one_minus_u[rows]
+            )
+        )
+    return frozen
 
 
 def frozen_beta_mesh(
     g: Callable[[np.ndarray], np.ndarray],
     beta: float,
     *,
-    q: Optional[int] = None,
     epsabs: float = DEFAULT_EPS,
     epsrel: float = DEFAULT_EPS,
     limit: int = 4096,
 ) -> FrozenBetaMesh:
-    """Adapt a partition for the substituted integrand at one beta, then freeze it.
-
-    Pass the largest beta of the intended bracket (or an explicit ``q``)
-    so the frozen exponent regularises the whole bracket.
-    """
-    beta = _check_beta(beta)
-    if q is None:
-        q = _q_for(beta)
-    mesh = adaptive_mesh(
-        _substituted(g, beta, q),
-        0.0,
-        1.0,
-        epsabs=epsabs,
-        epsrel=epsrel,
-        limit=limit,
-        points=_seed_points(q),
+    """``frozen_beta_meshes`` for one beta."""
+    (mesh,) = frozen_beta_meshes(
+        g, [beta], epsabs=epsabs, epsrel=epsrel, limit=limit
     )
-    x, half = _nodes(mesh[:-1], mesh[1:])
-    log_s = np.log(x)
-    log_u = q * log_s
-    g_u = np.broadcast_to(np.asarray(g(np.exp(log_u)), dtype=float), x.shape)
-    return FrozenBetaMesh(q, mesh, half, log_s, g_u, -np.expm1(log_u))
+    return mesh
 
 
 def beta_weighted_on_mesh(

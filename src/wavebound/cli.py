@@ -12,7 +12,9 @@ Four commands:
 * ``wavebound figure {1..5}`` -- run the parameter sweep behind one of
   the five standard data figures and write one CSV per curve (bound,
   linear, and simulated speeds side by side).  Each figure is one row of
-  the ``_FIGURES`` table, run by ``_run_figure``.
+  the ``_FIGURES`` table, run by ``_run_figure``, which refuses a grid
+  flag the figure does not sweep and ``--sim-L/--sim-dx/--sim-T`` under
+  ``--no-sim`` rather than ignore them.
 
 Every handler returns ``(payload, resolved_config, outputs, exit_code)``.
 ``main`` alone writes the run manifest (command line, resolved
@@ -113,6 +115,8 @@ def _parse_params(pairs: Sequence[str]) -> Dict[str, float]:
         name, sep, value = pair.partition("=")
         if not sep or not name:
             raise ConfigError(f"--param expects NAME=VALUE, got {pair!r}")
+        if name in out:
+            raise ConfigError(f"--param {name} given twice")
         try:
             out[name] = float(value)
         except ValueError:
@@ -445,6 +449,36 @@ _FIGURES: Dict[int, _Figure] = {
 }
 
 
+def _axes(fig: _Figure) -> List[str]:
+    """The args attributes of the figure's grid flags."""
+    return [attr for attr, _ in fig.outer + (fig.inner,) if attr]
+
+
+# every figure's grid flags, and the simulation flags --no-sim leaves unused
+_GRID_ATTRS = sorted({attr for fig in _FIGURES.values() for attr in _axes(fig)})
+_SIM_ATTRS = ("sim_L", "sim_dx", "sim_T")
+
+
+def _flag(attr: str) -> str:
+    return "--" + attr.replace("_", "-")
+
+
+def _reject_unhonoured(args: argparse.Namespace, fig: _Figure) -> None:
+    """Refuse a grid flag that is not one of the figure's axes, and any
+    simulation flag given with --no-sim, instead of ignoring it."""
+    axes = _axes(fig)
+    stray = [_flag(a) for a in _GRID_ATTRS if a not in axes and getattr(args, a) is not None]
+    if stray:
+        raise ConfigError(
+            f"figure {args.n} does not sweep {', '.join(stray)} "
+            f"(its grid flags: {', '.join(map(_flag, axes))})"
+        )
+    if args.no_sim:
+        unused = [_flag(a) for a in _SIM_ATTRS if getattr(args, a) is not None]
+        if unused:
+            raise ConfigError(f"{', '.join(unused)} cannot be combined with --no-sim")
+
+
 def _grid(args: argparse.Namespace, attr: Optional[str], default: Tuple) -> Sequence:
     text = getattr(args, attr) if attr else None
     return _float_list(text) if text else default
@@ -452,6 +486,7 @@ def _grid(args: argparse.Namespace, attr: Optional[str], default: Tuple) -> Sequ
 
 def _run_figure(args: argparse.Namespace) -> _Result:
     fig = _FIGURES[args.n]
+    _reject_unhonoured(args, fig)
     outer = [_grid(args, attr, default) for attr, default in fig.outer]
     inner = _grid(args, *fig.inner)
     os.makedirs(args.out, exist_ok=True)

@@ -36,6 +36,7 @@ from ._quad import (
     beta_weighted_integral,
     beta_weighted_on_mesh,
     frozen_beta_mesh,
+    frozen_beta_meshes,
     quad,
 )
 from ._search import golden_max
@@ -131,20 +132,28 @@ def linear_speed(model: ScalarModel) -> float:
     return 2.0 * sqrt(max(0.0, model.D0 * model.fprime0))
 
 
+# The beta grid never changes, so neither do its substitution-exponent
+# groups (15 consecutive runs of one q = ceil(2 / (2 - beta))) nor its
+# denominators B(2 - beta, 2 + beta).
+_GRID_BETAS = np.linspace(_BETA_LO, _BETA_HI, _GRID_SIZE)
+_GRID_QS = [_q_for(b) for b in _GRID_BETAS]
+_GRID_CUTS = [0, *(np.flatnonzero(np.diff(_GRID_QS)) + 1), _GRID_SIZE]
+_GRID_GROUPS = tuple(slice(a, b) for a, b in zip(_GRID_CUTS, _GRID_CUTS[1:]))
+_GRID_B = np.array([_beta(2.0 - b, 2.0 + b) for b in _GRID_BETAS])
+
+
 def _grid_values(
     g: Callable[[np.ndarray], np.ndarray],
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """F on the beta grid, grouped by substitution exponent q (15 groups):
-    one mesh frozen at each group's largest beta, one array call each."""
-    betas = np.linspace(_BETA_LO, _BETA_HI, _GRID_SIZE)
-    qs = np.array([_q_for(b) for b in betas])
-    values = np.empty_like(betas)
-    for q in np.unique(qs):
-        in_group = qs == q
-        group = betas[in_group]
-        N = beta_weighted_on_mesh(g, group, frozen_beta_mesh(g, group[-1]))
-        values[in_group] = group * N / [_beta(2.0 - b, 2.0 + b) for b in group]
-    return betas, values
+    """F on the beta grid, by q group: one mesh frozen at each group's
+    largest beta (all 15 adapted in lockstep), one array call each."""
+    meshes = frozen_beta_meshes(g, [_GRID_BETAS[s.stop - 1] for s in _GRID_GROUPS])
+    values = np.empty(_GRID_SIZE)
+    for group, mesh in zip(_GRID_GROUPS, meshes):
+        betas = _GRID_BETAS[group]
+        N = beta_weighted_on_mesh(g, betas, mesh)
+        values[group] = betas * N / _GRID_B[group]
+    return _GRID_BETAS, values
 
 
 def _interior_max(
@@ -185,8 +194,15 @@ def _interior_max(
     if p_lo < p_hi:
 
         def dF(b: float) -> float:
-            wide = (F_frozen(b + h) - F_frozen(b - h)) / (2.0 * h)
-            narrow = (F_frozen(b + h / 2.0) - F_frozen(b - h / 2.0)) / h
+            # the four stencil points in one array call, which equals
+            # four scalar F_frozen calls bit for bit
+            stencil = (b + h, b - h, b + h / 2.0, b - h / 2.0)
+            N = beta_weighted_on_mesh(g, np.array(stencil), mesh).tolist()
+            F_pp, F_mm, F_p, F_m = (
+                x * n / _beta(2.0 - x, 2.0 + x) for x, n in zip(stencil, N)
+            )
+            wide = (F_pp - F_mm) / (2.0 * h)
+            narrow = (F_p - F_m) / h
             return (4.0 * narrow - wide) / 3.0
 
         d_lo, d_hi = dF(p_lo), dF(p_hi)

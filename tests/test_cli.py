@@ -19,7 +19,7 @@ Proves:
     regular file exits 2 with one ``error:`` line and nothing on stdout;
     an unknown flag prints the subcommand's usage line, not the root's;
     ``--preset`` given with ``--D``, ``--f``, ``--kappa`` or ``--nu`` exits 2
-    and points to ``--param``; a NaN or infinite parameter or kappa, or a
+    and points to ``--param``; a ``--param`` given twice exits 2; a NaN or infinite parameter or kappa, or a
     literal that parses or folds to inf, exits 2 with one ``error:`` line,
     not a traceback or a NaN in the JSON.
  5. ``simulate scalar`` writes profiles.csv and front.csv and reports the
@@ -29,8 +29,9 @@ Proves:
  6. ``figure`` sweeps write one CSV per curve with the documented header,
     rerun byte-identically, exit 6 when some points fail (listing each
     failure in the JSON payload, a non-finite grid value included), and
-    exit 0 otherwise; a grid that holds no number exits 2 before any
-    output is written.
+    exit 0 otherwise; a grid that holds no number, a grid flag the figure
+    does not sweep, and a simulation flag given with ``--no-sim`` each
+    exit 2 naming the flag, before any output is written.
  7. Figure CSVs agree with the library: the decoupled two-species column
     solves to c = 2, and a small porous-Fisher sweep lands the simulated
     speed on top of the bound; the ``--no-sim`` CSVs of all five figures
@@ -564,6 +565,41 @@ def test_figure_empty_grid_exit_2(tmp_path, capsys, grid):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "at least one number" in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        # a grid flag that is not one of the figure's axes
+        (["figure", "2", "--no-sim", "--alpha-list", "1", "--a-list", "0.1",
+          "--m-list", "1"], "--m-list"),
+        (["figure", "2", "--no-sim", "--alpha-list", "1", "--a-list", "0.1",
+          "--kappa-list", "3"], "--kappa-list"),
+        # a simulation flag that --no-sim leaves unused
+        (["figure", "1", "--no-sim", "--m-list", "1", "--n-list", "1",
+          "--sim-T", "5"], "--sim-T"),
+    ],
+)
+def test_figure_unhonoured_flag_exit_2(tmp_path, capsys, argv, flag):
+    out_dir = tmp_path / "o"
+    code, out, err = _run(capsys, argv + ["--out", str(out_dir)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert flag in err
+    assert not out_dir.exists()
+
+
+def test_repeated_param_exit_2(tmp_path, capsys):
+    out_dir = tmp_path / "o"
+    code, out, err = _run(capsys, [
+        "bound", "scalar", "--preset", "porous_fisher",
+        "--param", "m=2", "--param", "m=3", "--out", str(out_dir),
+    ])
+    assert code == 2
+    assert out == ""
+    assert err == "error: --param m given twice\n"
     assert not out_dir.exists()
 
 

@@ -17,11 +17,19 @@ Proves:
   8.  quad_on_mesh over an adapted partition matches quad
   9.  beta_weighted_on_mesh, which reads g from the mesh's node cache,
       equals the uncached quad_on_mesh sweep bit for bit at a scalar
-      beta, and an array of betas matches the scalar calls to 1e-13;
-      a g that is not finite on the mesh raises QuadratureError, and so
-      does a beta outside [0, 2) in the array
+      beta, and an array of betas equals the scalar calls bit for bit
+      (the derivative polish of sup_F relies on it); a g that is not
+      finite on the mesh raises QuadratureError, and so does a beta
+      outside [0, 2) in the array
   10. adaptive_mesh refuses an empty, reversed or NaN range with
       QuadratureError, as quad does, instead of returning a mesh
+  11. frozen_beta_meshes, which adapts many partitions in lockstep, gives
+      the meshes that the one-partition adaptive loop (kept here as the
+      reference) and a one-at-a-time node cache give, bit for bit:
+      breakpoints, half-widths, log s, g and 1 - u, on every _MESH_CASES
+      group plus beta = 1.999 (q = 2001), and adaptive_mesh, its
+      one-partition case, gives that loop's mesh; a g that is not finite
+      inside a lockstep round raises QuadratureError naming the abscissa
 """
 
 import math
@@ -32,11 +40,16 @@ from scipy.integrate import quad as scipy_quad
 from scipy.special import beta as beta_fn
 
 from wavebound._quad import (
+    _eval_panels,
+    _nodes,
+    _q_for,
+    _seed_breakpoints,
     _substituted,
     adaptive_mesh,
     beta_weighted_integral,
     beta_weighted_on_mesh,
     frozen_beta_mesh,
+    frozen_beta_meshes,
     quad,
     quad_on_mesh,
 )
@@ -168,7 +181,7 @@ def test_array_beta_matches_scalar_calls():
             got = beta_weighted_on_mesh(g, betas, mesh)
             assert got.shape == betas.shape
             want = [beta_weighted_on_mesh(g, float(b), mesh) for b in betas]
-            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+            np.testing.assert_array_equal(got, want)
 
 
 def test_non_finite_g_on_mesh_raises():
@@ -186,3 +199,70 @@ def test_array_beta_outside_range_raises():
     for bad in ([0.5, 2.0], [-0.1, 0.5], [0.5, np.nan]):
         with pytest.raises(QuadratureError, match="beta"):
             beta_weighted_on_mesh(g, np.array(bad), mesh)
+
+
+def _loop_adapt(f, a, b, epsabs=1e-10, epsrel=1e-10, limit=4096):
+    """The adaptive loop for one partition, as it was written before the
+    partitions adapted in lockstep; returns the sorted breakpoints."""
+    vals, errs = _eval_panels(f, a, b)
+    while float(errs.sum()) > max(epsabs, epsrel * abs(float(vals.sum()))):
+        assert len(a) < limit
+        order = np.argsort(errs)[::-1]
+        cum = np.cumsum(errs[order])
+        k = min(int(np.searchsorted(cum, 0.5 * float(errs.sum()))) + 1, limit - len(a))
+        idx = order[:k]
+        keep = np.ones(len(a), dtype=bool)
+        keep[idx] = False
+        lo, hi = a[idx], b[idx]
+        mid = 0.5 * (lo + hi)
+        new_a, new_b = np.concatenate((lo, mid)), np.concatenate((mid, hi))
+        new_vals, new_errs = _eval_panels(f, new_a, new_b)
+        a, b = np.concatenate((a[keep], new_a)), np.concatenate((b[keep], new_b))
+        vals = np.concatenate((vals[keep], new_vals))
+        errs = np.concatenate((errs[keep], new_errs))
+    return np.concatenate((a[np.argsort(a)], [b.max()]))
+
+
+def _one_at_a_time(g, beta):
+    """A frozen mesh adapted alone, with its node cache computed alone."""
+    q = _q_for(beta)
+    brk = _seed_breakpoints(q)
+    mesh = _loop_adapt(_substituted(g, beta, q), brk[:-1], brk[1:])
+    x, half = _nodes(mesh[:-1], mesh[1:])
+    log_u = q * np.log(x)
+    g_u = np.broadcast_to(np.asarray(g(np.exp(log_u)), dtype=float), x.shape)
+    return q, mesh, half, np.log(x), g_u, -np.expm1(log_u)
+
+
+def test_lockstep_meshes_equal_one_at_a_time_meshes():
+    for g, centers in _MESH_CASES:
+        betas = centers + (1.999,)
+        meshes = frozen_beta_meshes(g, betas)
+        assert len(meshes) == len(betas)
+        for beta, mesh in zip(betas, meshes):
+            q, brk, half, log_s, g_u, one_minus_u = _one_at_a_time(g, beta)
+            assert mesh.q == q
+            np.testing.assert_array_equal(mesh.breakpoints, brk)
+            np.testing.assert_array_equal(mesh.half, half)
+            np.testing.assert_array_equal(mesh.log_s, log_s)
+            np.testing.assert_array_equal(mesh.g, g_u)
+            np.testing.assert_array_equal(mesh.one_minus_u, one_minus_u)
+    assert _q_for(1.999) == 2001
+
+
+def test_one_partition_mesh_equals_reference_loop():
+    f = lambda x: np.exp(-x) * np.cos(4.0 * x)
+    brk = np.array([0.0, 3.0])
+    want = _loop_adapt(f, brk[:-1], brk[1:], epsabs=1e-13, epsrel=1e-13)
+    got = adaptive_mesh(f, 0.0, 3.0, epsabs=1e-13, epsrel=1e-13)
+    assert len(got) > 3
+    np.testing.assert_array_equal(got, want)
+
+
+def test_non_finite_g_in_lockstep_round_raises():
+    def g(u):
+        u = np.asarray(u, dtype=float)
+        return np.where((u > 0.2) & (u < 0.3), np.nan, 1.0 - u)
+
+    with pytest.raises(QuadratureError, match="integrand is not finite at x = "):
+        frozen_beta_meshes(g, (0.4, 1.2, 1.9))

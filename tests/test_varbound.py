@@ -25,7 +25,9 @@ Proves:
   8.  The grid scan grouped by substitution exponent: sup_F's beta_star,
       F_star and c_lb are pinned exactly on every scalar preset and custom
       draws, and the grouped scan picks the same grid point as a per-beta
-      adaptive F_of_beta loop over the presets and 50 seeded draws
+      adaptive F_of_beta loop over the presets and 50 seeded draws; the
+      15 group meshes adapted in lockstep give the grid values of a loop
+      that builds each group's mesh on its own, bit for bit
   9.  Argument checks: F_of_beta returns the limit at beta = 2 and raises
       ConfigError outside [0, 2]; sup_F rejects a non-positive or
       non-finite xtol
@@ -51,7 +53,8 @@ from wavebound.varbound import (
     selection_criterion,
     sup_F,
 )
-from wavebound.varbound import _grid_values
+from wavebound._quad import _q_for, beta_weighted_on_mesh, frozen_beta_mesh
+from wavebound.varbound import _beta, _grid_values
 
 # -- 1. quadrature vs closed forms --------------------------------------
 
@@ -376,6 +379,27 @@ def test_grouped_scan_picks_the_adaptive_argmax():
         oracle = [F_of_beta(model, float(b)) for b in betas]
         assert np.argmax(values) == np.argmax(oracle), (name, params)
         np.testing.assert_allclose(values, oracle, rtol=1e-7, atol=1e-12)
+
+
+def test_lockstep_grid_equals_per_group_loop():
+    # the reference builds each q group's mesh on its own, as the scan
+    # did before the 15 meshes adapted in lockstep
+    rng = np.random.default_rng(5)
+    families = list(_DRAWS)
+    cases = [(name, {}) for name in ("fisher_kpp", *families[:3])]
+    cases += [(families[i % 4], _DRAWS[families[i % 4]](rng)) for i in range(12)]
+    for name, params in cases:
+        g = _scalar_model(name, params).DR_fn()
+        betas = np.linspace(1e-3, 2.0 - 1e-3, 64)
+        qs = np.array([_q_for(b) for b in betas])
+        want = np.empty_like(betas)
+        for q in np.unique(qs):
+            group = betas[qs == q]
+            N = beta_weighted_on_mesh(g, group, frozen_beta_mesh(g, group[-1]))
+            want[qs == q] = group * N / [_beta(2.0 - b, 2.0 + b) for b in group]
+        got_betas, got = _grid_values(g)
+        np.testing.assert_array_equal(got_betas, betas)
+        np.testing.assert_array_equal(got, want, err_msg=f"{name} {params}")
 
 
 # -- 9. argument checks -------------------------------------------------
