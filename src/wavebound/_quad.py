@@ -109,7 +109,7 @@ def _eval_panels(
     x, half = _nodes(a, b)
     y = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
     if not np.isfinite(y).all():
-        bad = x.ravel()[~np.isfinite(y.ravel())][0]
+        bad = float(x.ravel()[~np.isfinite(y.ravel())][0])
         raise QuadratureError(f"integrand is not finite at x = {bad!r}")
     vals = half * (y @ _K15_WEIGHTS)
     gauss = half * (y[:, 1::2] @ _G7_WEIGHTS)

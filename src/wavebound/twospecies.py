@@ -77,8 +77,6 @@ class WaveProfile2:
     """The slaved substance profile u2(u1) for one (beta, c) pair."""
 
     u1_grid: np.ndarray
-    u2: np.ndarray
-    v_star: np.ndarray
     beta: float
     c: float
     nu: float
@@ -119,6 +117,9 @@ class SpeedSolve:
     converged: bool
     beta_star: float
     c_linear: float
+    # G_evals: G(beta; c) evaluations (one slaved profile each below
+    # beta = 2); sup_G_calls: maximisations over beta
+    stats: Dict[str, int]
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -129,6 +130,7 @@ class SpeedSolve:
             "converged": self.converged,
             "beta_star": self.beta_star,
             "c_linear": self.c_linear,
+            "stats": dict(self.stats),
         }
 
 
@@ -149,14 +151,22 @@ def v_star(
     if not 0.0 < beta <= 2.0:
         raise ConfigError(f"beta must lie in (0, 2], got {beta}")
     u1 = np.asarray(u1, dtype=float)
-    u2 = np.asarray(u2, dtype=float)
-    D = np.asarray(model.D_fn(u1, u2), dtype=float)
+    D = _nondegenerate_D(model, u1, u2)
+    return c * u1 * (1.0 - u1) / (beta * D)
+
+
+def _nondegenerate_D(
+    model: TwoSpeciesModel, u1: np.ndarray, u2: np.ndarray
+) -> np.ndarray:
+    """D(u1, u2) on the points; DegenerateDiffusionError if it drops to
+    1e-14 anywhere, where the control ansatz v* has no meaning."""
+    D = np.asarray(model.D_fn(u1, np.asarray(u2, dtype=float)), dtype=float)
     if float(np.min(D)) <= 1e-14:
         raise DegenerateDiffusionError(
             "D(u1, u2) vanishes along the profile; the control ansatz "
             "v* = c u1 (1-u1) / (beta D) is undefined there"
         )
-    return c * u1 * (1.0 - u1) / (beta * D)
+    return D
 
 
 class _SubstanceCurve:
@@ -224,16 +234,14 @@ def _closed_profile(
 ) -> WaveProfile2:
     """The profile u2 = interp(w) up to the cut, with tail exponent rate.
 
-    Tabulated on a fixed 161-point u1 grid; u2 at u1 = 1 is the far field
-    nu when nothing degrades the substance (kappa = 0), 0 otherwise.
+    D is probed on a fixed 161-point u1 grid, with u2 at u1 = 1 the far
+    field nu when nothing degrades the substance (kappa = 0) and 0
+    otherwise: a profile along which D vanishes is refused.
     """
-    u1_grid = _CLOSED_U1.copy()
     u2 = np.append(interp(_CLOSED_W), model.nu if model.kappa == 0.0 else 0.0)
-    vs = v_star(model, beta, c, u1_grid, u2)
+    _nondegenerate_D(model, _CLOSED_U1, u2)
     return WaveProfile2(
-        u1_grid=u1_grid,
-        u2=u2,
-        v_star=vs,
+        u1_grid=_CLOSED_U1.copy(),
         beta=beta,
         c=c,
         nu=model.nu,
@@ -396,15 +404,17 @@ def _sup_G(
     c: float,
     xtol: float,
     hint: Optional[float] = None,
-) -> Tuple[float, float]:
+) -> Tuple[float, float, int]:
     """sup over beta in (0, 2] of G(beta; c), boundary limit included.
 
-    Returns (beta_star, G_star).  ``hint`` warm-starts the search with a
-    local bracket around the previous maximiser; if the local bracket's
-    edge wins, the full grid is rescanned (the maximiser moved).
+    Returns (beta_star, G_star, n) with n the number of G evaluations.
+    ``hint`` warm-starts the search with a local bracket around the
+    previous maximiser; if the local bracket's edge wins, the full grid is
+    rescanned (the maximiser moved).
     """
     G2 = G_of_beta(model, 2.0, c)
-    # golden_max re-reads its bracket edges, which the grid scan solved
+    # golden_max reads its bracket edges and mid, which the grid scan
+    # solved; the cache makes those reads free
     seen: Dict[float, float] = {}
 
     def G(beta: float) -> float:
@@ -419,23 +429,22 @@ def _sup_G(
         i = int(np.argmax(vals))
         b_lo = float(betas[max(i - 1, 0)])
         b_hi = float(betas[min(i + 1, n - 1)])
-        return golden_max(G, b_lo, b_hi, xtol=xtol)
+        return golden_max(G, b_lo, b_hi, xtol=xtol, mid=float(betas[i]))
 
     full = (1e-3, 2.0 - 1e-3)
+    local = None
     if hint is not None and hint < 2.0:
         lo = max(full[0], hint - 0.12)
         hi = min(full[1], hint + 0.12)
-        beta_i, G_i = interior(lo, hi, 5)
+        local = interior(lo, hi, 5)
         # a maximiser pinned to the local bracket edge means the hint went
         # stale; fall through to the full scan
-        if beta_i > lo + 1e-9 and beta_i < hi - 1e-9:
-            if G2 >= G_i:
-                return 2.0, G2
-            return beta_i, G_i
-    beta_i, G_i = interior(full[0], full[1], 24)
+        if not lo + 1e-9 < local[0] < hi - 1e-9:
+            local = None
+    beta_i, G_i = local or interior(full[0], full[1], 24)
     if G2 >= G_i:
-        return 2.0, G2
-    return beta_i, G_i
+        beta_i, G_i = 2.0, G2
+    return beta_i, G_i, len(seen) + 1
 
 
 def solve_implicit_speed(model: TwoSpeciesModel) -> SpeedSolve:
@@ -447,7 +456,10 @@ def solve_implicit_speed(model: TwoSpeciesModel) -> SpeedSolve:
     bisection on h(c) = c^2 - 2 sup G(c) over [c0, 4 c0] takes over
     (h is increasing for degradation-type coupling: larger c weakens the
     slaved substance's drag).  Raises NonConvergenceError with the last
-    bracket after 200 total iterations.
+    bracket after 200 total iterations.  The settled c is re-maximised at
+    xtol 1e-6; after the damped iteration up to three steps c <- sqrt(2
+    sup G) polish it, after bisection none do.  ``stats`` counts the G
+    evaluations and the maximisations over beta.
     """
     c_lin = linear_speed_two_species(model)
     c0 = max(c_lin, 0.2)
@@ -456,10 +468,19 @@ def solve_implicit_speed(model: TwoSpeciesModel) -> SpeedSolve:
     hint: Optional[float] = None
     iterations = 0
     converged = False
+    stats = {"G_evals": 0, "sup_G_calls": 0}
+
+    def sup_G(
+        cc: float, xtol: float, hint: Optional[float] = None
+    ) -> Tuple[float, float]:
+        beta, G_val, n = _sup_G(model, cc, xtol, hint)
+        stats["sup_G_calls"] += 1
+        stats["G_evals"] += n
+        return beta, G_val
 
     for _ in range(_DAMPED_BUDGET):
         iterations += 1
-        beta_s, G_s = _sup_G(model, c, xtol=1e-4, hint=hint)
+        beta_s, G_s = sup_G(c, xtol=1e-4, hint=hint)
         hint = beta_s
         target = sqrt(2.0 * max(G_s, 0.0))
         update = target - c
@@ -473,11 +494,12 @@ def solve_implicit_speed(model: TwoSpeciesModel) -> SpeedSolve:
             c = target
         prev_update = update
 
-    if not converged:
+    bisected = not converged
+    if bisected:
         lo, hi = c0, 4.0 * c0
 
         def h(cc: float) -> float:
-            _, G_s = _sup_G(model, cc, xtol=1e-4)
+            _, G_s = sup_G(cc, xtol=1e-4)
             return cc * cc - 2.0 * max(G_s, 0.0)
 
         iterations += 2
@@ -503,16 +525,18 @@ def solve_implicit_speed(model: TwoSpeciesModel) -> SpeedSolve:
         c = 0.5 * (lo + hi)
         converged = True
 
-    # tight final pass: re-maximise carefully at the settled speed and
-    # polish the fixed point until the reported residual is honest
-    beta_s, G_s = _sup_G(model, c, xtol=1e-6)
-    for _ in range(3):
+    # tight final pass: re-maximise carefully at the settled speed and,
+    # after the damped iteration, polish the fixed point until the reported
+    # residual is honest.  Not after bisection: there the map c -> sqrt(2G)
+    # is expanding, so each polish step would move c away from the root.
+    beta_s, G_s = sup_G(c, xtol=1e-6)
+    for _ in range(0 if bisected else 3):
         target = sqrt(2.0 * max(G_s, 0.0))
         if abs(target - c) < 1e-12:
             break
         c = target
         iterations += 1
-        beta_s, G_s = _sup_G(model, c, xtol=1e-6, hint=beta_s)
+        beta_s, G_s = sup_G(c, xtol=1e-6, hint=beta_s)
     residual = abs(c * c - 2.0 * max(G_s, 0.0))
 
     return SpeedSolve(
@@ -523,6 +547,7 @@ def solve_implicit_speed(model: TwoSpeciesModel) -> SpeedSolve:
         converged=converged,
         beta_star=beta_s,
         c_linear=c_lin,
+        stats=stats,
     )
 
 

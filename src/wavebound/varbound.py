@@ -161,8 +161,8 @@ def _interior_max(
     g: Callable[[np.ndarray], np.ndarray],
     xtol: float,
 ) -> Tuple[float, float]:
-    """Maximise F over the open interval: grid scan, golden section, then
-    a derivative root-polish.
+    """Maximise F over the open interval: grid scan, Brent's search from
+    the grid argmax, then a derivative root-polish.
 
     Two numerical obstacles shape this routine.  Re-adapting the
     quadrature partition at every beta makes F noisy at the 1e-10 level,
@@ -170,7 +170,7 @@ def _interior_max(
     smooth in beta (observed mesh-induced argmax displacement ~2e-11).
     And near the maximum F varies only quadratically, so *values* of F
     cannot distinguish betas closer than ~sqrt(eps/|F''|) ~ 1e-8;
-    golden-section therefore stops at 1e-6 and the final localisation
+    the search therefore stops at 1e-6 and the final localisation
     bisects the Richardson-extrapolated central difference F'(beta) to
     a ~1e-11 bracket, which value noise does not limit.
     """
@@ -186,7 +186,7 @@ def _interior_max(
             b * beta_weighted_on_mesh(g, b, mesh) / _beta(2.0 - b, 2.0 + b)
         )
 
-    beta_star, _ = golden_max(F_frozen, lo, hi, xtol=1e-6)
+    beta_star, _ = golden_max(F_frozen, lo, hi, xtol=1e-6, mid=float(betas[i]))
 
     h = 1e-4
     p_lo = max(beta_star - 3e-5, lo, _BETA_LO)
@@ -229,7 +229,7 @@ def sup_F(model: ScalarModel, xtol: float = 1e-9) -> BoundResult:
 
     ``xtol`` (finite, > 0) stops the final bisection of F'(beta) = 0 once
     its bracket is narrower than max(xtol / 100, 1e-12), so values below
-    1e-10 change nothing; the golden section before it stops at 1e-6.
+    1e-10 change nothing; Brent's search before it stops at 1e-6.
     """
     if not (isfinite(xtol) and xtol > 0.0):
         raise ConfigError(f"xtol must be finite and > 0, got {xtol}")

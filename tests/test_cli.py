@@ -8,7 +8,8 @@ Proves:
     drops a manifest recording the command line, resolved model, library
     versions, output files, and wall clock.
  2. ``bound fisher-stefan`` and ``bound two-species`` print their payloads;
-    the two-species payload embeds the weak-coupling report.
+    the two-species payload embeds the weak-coupling report and the
+    solve's G-evaluation counts.
  3. ``criterion`` classifies models on the correct side of the
     pushed/pulled boundary.
  4. Model, config, and expression-syntax errors exit 2 with an ``error:``
@@ -139,6 +140,9 @@ def test_bound_two_species_payload(tmp_path, capsys):
     assert payload["c"] >= payload["c_linear"] - 1e-9
     # kappa = lambda K = 0.5 and nu = 1 for this preset
     assert payload["epsilon"] == pytest.approx(0.5 / payload["c"], rel=1e-12)
+    stats = payload["stats"]
+    assert stats["sup_G_calls"] >= payload["iterations"]
+    assert stats["G_evals"] >= stats["sup_G_calls"]
     report = payload["weak_coupling"]
     assert set(report) == {"epsilon", "crowding_ratio", "valid"}
     assert report["valid"] is True

@@ -26,7 +26,11 @@ Proves:
       undercuts the linear speed, reports epsilon = kappa nu / c, and
       reproduces pinned ecm_b, ecm_c and general-D speeds to 1e-8; three
       general-D speeds, beta* and the iteration count hold bit for bit;
-      one sup-over-beta search evaluates G at each beta once
+      one sup-over-beta search evaluates G at each beta once and counts
+      its evaluations, as SpeedSolve.stats does for a whole solve; on
+      landman the search matches a fine maximisation of the closed-form
+      G to 1e-9; after the bisection fallback the reported speed is the
+      root of c^2 - 2 sup G (bisected here on the closed form) to 1e-8
   7.  The adjoint quadrature matches the hand-derived co-state integral
       lambda * integral q phi u2 dq for the crowding model
   8.  pontryagin_residual vanishes for decoupled models and stays within
@@ -40,6 +44,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.optimize import minimize_scalar
 
 from wavebound._quad import quad
 from wavebound.errors import ConfigError, DegenerateDiffusionError
@@ -56,6 +61,7 @@ from wavebound.twospecies import (
     v_star,
     weak_coupling_report,
 )
+from wavebound.twospecies import _sup_G as twospecies_sup_G
 
 
 def crowding_model(lam, kappa, nu=1.0, force_ode=None):
@@ -386,18 +392,18 @@ def test_implicit_speed_regression_pins(model, want):
     assert res.c == pytest.approx(want, rel=1e-8)
 
 
-# general-D speeds of the scalar DOP853 with the stage sums looped over the
-# tableau rows; its generated stage code does the same additions, so the
-# speeds are equal bit for bit (float.hex)
+# general-D speeds, bit for bit (float.hex), since golden_max took Brent's
+# parabolic steps; against the pure golden section c moved by at most
+# 4.5e-14 relative and beta* by 1e-7, with the same iteration counts
 @pytest.mark.parametrize(
     "D, f, kappa, nu, want, beta_star, iterations",
     [
         ("1 + 0.5*u1 - u2", "u1*(1 - u1 - u2)", 1.05, 0.5,
-         1.0076673569251844, 1.8339274347404915, 13),
+         1.007667356925154, 1.833927520599523, 13),
         ("1 + u1*u2", "u1*(1 - u1)*(1 + 2*u1)", 3.0, 0.4,
-         2.0075376029593226, 1.8390908154271441, 5),
+         2.0075376029594136, 1.8390907494449202, 5),
         ("1 + u1 - 0.5*u2", "u1*(1 - u1 - 0.5*u2)", 5.0, 0.6,
-         1.469158999132339, 1.6143393668474946, 15),
+         1.4691589991323615, 1.614339267177952, 15),
     ],
 )
 def test_general_D_speed_pins_tight(D, f, kappa, nu, want, beta_star, iterations):
@@ -419,9 +425,69 @@ def test_sup_G_evaluates_each_beta_once(monkeypatch, hint):
         return real(model, beta, c, profile)
 
     monkeypatch.setattr(twospecies, "G_of_beta", counted)
-    twospecies._sup_G(make_preset("ecm_b", {"kappa": 10.0, "nu": 0.5}), 1.25, 1e-4, hint)
+    model = make_preset("ecm_b", {"kappa": 10.0, "nu": 0.5})
+    _, _, n = twospecies._sup_G(model, 1.25, 1e-4, hint)
     assert len(betas) > 24
     assert len(betas) == len(set(betas))
+    assert n == len(betas)
+
+
+def test_speed_solve_stats_count_G_evals(monkeypatch):
+    from wavebound import twospecies
+
+    calls = []
+    real = twospecies.G_of_beta
+
+    def counted(model, beta, c, profile=None):
+        calls.append(float(beta))
+        return real(model, beta, c, profile)
+
+    monkeypatch.setattr(twospecies, "G_of_beta", counted)
+    res = solve_implicit_speed(make_preset("ecm_b", {"kappa": 10.0, "nu": 0.5}))
+    assert res.stats["G_evals"] == len(calls)
+    # one beta = 2 boundary value per maximisation
+    assert res.stats["sup_G_calls"] == calls.count(2.0)
+    assert res.stats["sup_G_calls"] >= res.iterations
+
+
+def test_sup_G_matches_landman_closed_form():
+    model = make_preset("landman", {"lambda": 0.7, "K": 3.0})
+    for c in (1.0, 1.2):
+        beta_s, G_s, _ = twospecies_sup_G(model, c, 1e-6)
+        fine = minimize_scalar(
+            lambda b: -landman_G_closed(b, 0.7, model.kappa, c),
+            bounds=(1e-3, 2.0), method="bounded", options={"xatol": 1e-12},
+        )
+        assert 1.5 < beta_s < 2.0
+        assert abs(beta_s - fine.x) <= 1e-6
+        assert G_s == pytest.approx(-fine.fun, rel=1e-9)
+
+
+def test_bisection_fallback_reports_the_root():
+    # f'(0, nu) = 1 - 5 nu < 0, so c_linear = 0 and the damped iteration
+    # never settles: bisection on h(c) = c^2 - 2 sup G finds the speed.
+    # With D = 1 the slaved u2 / nu is landman's, lambda = 5 nu, so the
+    # root is bisected here on the closed form.
+    lam, kappa = 2.5, 3.0
+    res = solve_implicit_speed(
+        TwoSpeciesModel("1", "u1*(1 - u1 - 5*u2)", kappa=kappa, nu=0.5)
+    )
+    assert res.iterations > 60  # the bisection ran
+
+    def h(c):
+        fine = minimize_scalar(
+            lambda b: -landman_G_closed(b, lam, kappa, c),
+            bounds=(1e-3, 2.0), method="bounded", options={"xatol": 1e-12},
+        )
+        sup = max(-fine.fun, landman_G_closed(2.0, lam, kappa, c))
+        return c * c - 2.0 * max(sup, 0.0)
+
+    lo, hi = 0.2, 0.8
+    while hi - lo > 1e-13:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if h(mid) > 0.0 else (mid, hi)
+    assert abs(res.c - lo) <= 1e-8
+    assert res.residual < 1e-7
 
 
 def test_speed_solve_to_dict():
@@ -435,7 +501,9 @@ def test_speed_solve_to_dict():
         "converged",
         "beta_star",
         "c_linear",
+        "stats",
     }
+    assert set(d["stats"]) == {"G_evals", "sup_G_calls"}
 
 
 # -- 7. adjoint oracle ----------------------------------------------------

@@ -326,24 +326,25 @@ def _scalar_model(name, params):
     return make_preset(name, params)
 
 
-# (model, params, beta_star, F_star, c_lb) as the per-beta adaptive grid
-# scan found them before the scan was grouped by q
+# (model, params, beta_star, F_star, c_lb) since golden_max took Brent's
+# parabolic steps: beta_star moved by at most 1.4e-11 from the pure golden
+# section's, F_star by 1.1e-15 and c_lb by 4.8e-16 relative
 _SUP_F_PINS = [
     ("fisher_kpp", {}, 2.0, 2.0000000000000004, 2.0),
-    ("porous_fisher", {}, 0.9999999999885689, 0.2500000000000001, 0.7071067811865477),
+    ("porous_fisher", {}, 0.9999999999964133, 0.2500000000000003, 0.7071067811865479),
     ("porous_fisher", {"m": 2.0},
-     0.7847495629918702, 0.1056305895462496, 0.4596315688597762),
-    ("allee", {}, 0.6138487788633096, 0.08024965233929697, 0.4006236446823801),
+     0.784749562978172, 0.10563058954624949, 0.45963156885977596),
+    ("allee", {}, 0.6138487788566487, 0.080249652339297, 0.40062364468238015),
     ("allee", {"alpha": 0.3, "a": 0.4},
-     0.47654312905500174, 0.022851941482549085, 0.21378466494371895),
-    ("linear_shift", {}, 0.9999999999885689, 0.2500000000000001, 0.7071067811865477),
+     0.4765431290493536, 0.022851941482549088, 0.21378466494371895),
+    ("linear_shift", {}, 0.9999999999964133, 0.2500000000000003, 0.7071067811865479),
     ("linear_shift", {"delta": 1.0}, 2.0, 2.0000000000000004, 2.0),
     ("custom", {"m": 1.5, "d": 0.3, "r": 2.0},
-     1.2065548330830365, 0.7571543910238664, 1.2305725423751877),
+     1.206554833074068, 0.7571543910238658, 1.2305725423751872),
     ("custom", {"m": 1.2, "d": 0.1, "r": 4.5},
-     0.899782231256705, 0.8092553317153063, 1.2722070049447978),
+     0.899782231262922, 0.8092553317153062, 1.2722070049447975),
     ("custom", {"m": 1.8, "d": 0.0, "r": 1.0},
-     0.7696914190187765, 0.18548931146022557, 0.6090801449074261),
+     0.7696914190194386, 0.18548931146022565, 0.6090801449074262),
 ]
 
 
