@@ -30,7 +30,7 @@ w = -ln(1 - u1) and the exponent of its power-law tail.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import expm1, log, sqrt
+from math import expm1, inf, log, sqrt
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
@@ -76,7 +76,6 @@ _CLOSED_W.flags.writeable = False
 class WaveProfile2:
     """The slaved substance profile u2(u1) for one (beta, c) pair."""
 
-    u1_grid: np.ndarray
     beta: float
     c: float
     nu: float
@@ -93,7 +92,7 @@ class WaveProfile2:
         u2 = u2(cut) ((1-u1)/1e-8)^p with p = kappa beta D(1,0) / c^2.
         """
         u1 = np.asarray(u1, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             w = -np.log1p(-u1)
             inside = w <= _W_MAX
             vals = self._interp(np.minimum(w, _W_MAX))
@@ -241,7 +240,6 @@ def _closed_profile(
     u2 = np.append(interp(_CLOSED_W), model.nu if model.kappa == 0.0 else 0.0)
     _nondegenerate_D(model, _CLOSED_U1, u2)
     return WaveProfile2(
-        u1_grid=_CLOSED_U1.copy(),
         beta=beta,
         c=c,
         nu=model.nu,
@@ -292,9 +290,14 @@ def solve_u2_profile(model: TwoSpeciesModel, beta: float, c: float) -> WaveProfi
 
     if model.D_vars == {"u2"}:
         curve = _substance_curve(model)
-        return _closed_profile(
-            model, beta, c, lambda w: curve(coef * w), coef * curve.rate
-        )
+
+        def on_curve(w: np.ndarray) -> np.ndarray:
+            # at a huge kappa, coef * w overflows to inf (and 0 * inf is
+            # NaN); the quadrature then reports the non-finite integrand
+            with np.errstate(over="ignore", invalid="ignore"):
+                return curve(coef * w)
+
+        return _closed_profile(model, beta, c, on_curve, coef * curve.rate)
 
     D_fn = model.D_fn
 
@@ -450,93 +453,77 @@ def _sup_G(
 def solve_implicit_speed(model: TwoSpeciesModel) -> SpeedSolve:
     """Self-consistent speed: the smallest c with c^2 = 2 sup_beta G(beta; c).
 
-    Damped fixed-point iteration c <- sqrt(2 sup G(c)) starting from the
-    linear speed (floored at 0.2), with halving applied when successive
-    updates alternate in sign; if 60 damped iterations fail to settle,
-    bisection on h(c) = c^2 - 2 sup G(c) over [c0, 4 c0] takes over
-    (h is increasing for degradation-type coupling: larger c weakens the
-    slaved substance's drag).  Raises NonConvergenceError with the last
-    bracket after 200 total iterations.  The settled c is re-maximised at
-    xtol 1e-6; after the damped iteration up to three steps c <- sqrt(2
-    sup G) polish it, after bisection none do.  ``stats`` counts the G
-    evaluations and the maximisations over beta.
+    One loop from the linear speed (floored at 0.2).  Each iteration
+    maximises G at c and proposes the damped fixed-point step c <- sqrt(2
+    sup G), halved when successive updates alternate in sign.  Each update
+    also narrows a bracket (lo, hi), first (0, inf), on the root of h(c) =
+    c^2 - 2 sup G(c): h is increasing for degradation-type coupling (larger
+    c weakens the slaved substance's drag), so a positive update raises lo
+    and a negative one lowers hi.  The step is taken if it lies strictly
+    inside the bracket, during the first 60 iterations or while hi is
+    unbounded; otherwise c moves to the bracket's midpoint.  The loop stops
+    when the update drops below 1e-8 (c takes the fixed-point value) or the
+    bracket of a midpoint step is narrower than 1e-8 max(1, lo), and raises
+    NonConvergenceError with the last bracket after 200 iterations.
+
+    The settled c is re-maximised at xtol 1e-6, then polished by up to three
+    steps c <- sqrt(2 sup G), each kept only if its update is smaller than
+    the one before.  ``stats`` counts the G evaluations and the
+    maximisations over beta.
     """
     c_lin = linear_speed_two_species(model)
-    c0 = max(c_lin, 0.2)
-    c = c0
+    c = max(c_lin, 0.2)
+    lo, hi = 0.0, inf
     prev_update = 0.0
     hint: Optional[float] = None
-    iterations = 0
-    converged = False
     stats = {"G_evals": 0, "sup_G_calls": 0}
 
     def sup_G(
         cc: float, xtol: float, hint: Optional[float] = None
-    ) -> Tuple[float, float]:
+    ) -> Tuple[float, float, float]:
+        # (beta*, sup G, the fixed-point target sqrt(2 sup G)) at cc
         beta, G_val, n = _sup_G(model, cc, xtol, hint)
         stats["sup_G_calls"] += 1
         stats["G_evals"] += n
-        return beta, G_val
+        return beta, G_val, sqrt(2.0 * max(G_val, 0.0))
 
-    for _ in range(_DAMPED_BUDGET):
-        iterations += 1
-        beta_s, G_s = sup_G(c, xtol=1e-4, hint=hint)
-        hint = beta_s
-        target = sqrt(2.0 * max(G_s, 0.0))
+    for iterations in range(1, _MAX_ITER + 1):
+        hint, _, target = sup_G(c, xtol=1e-4, hint=hint)
         update = target - c
         if abs(update) < _IMPLICIT_TOL:
             c = target
-            converged = True
             break
-        if update * prev_update < 0.0:
-            c = c + 0.5 * update
+        if update > 0.0:
+            lo = c
         else:
-            c = target
+            hi = c
+        step = c + 0.5 * update if update * prev_update < 0.0 else target
         prev_update = update
+        if lo < step < hi and (iterations < _DAMPED_BUDGET or hi == inf):
+            c = step
+        else:
+            c = 0.5 * (lo + hi)
+            if hi - lo < _IMPLICIT_TOL * max(1.0, lo):
+                break
+    else:
+        raise NonConvergenceError(
+            "implicit speed iteration exceeded 200 iterations", bracket=(lo, hi)
+        )
 
-    bisected = not converged
-    if bisected:
-        lo, hi = c0, 4.0 * c0
-
-        def h(cc: float) -> float:
-            _, G_s = sup_G(cc, xtol=1e-4)
-            return cc * cc - 2.0 * max(G_s, 0.0)
-
-        iterations += 2
-        h_lo, h_hi = h(lo), h(hi)
-        if h_lo > 0.0 or h_hi < 0.0:
-            raise NonConvergenceError(
-                "implicit speed iteration failed to bracket a root of "
-                "c^2 - 2 sup G",
-                bracket=(lo, hi),
-            )
-        while hi - lo > _IMPLICIT_TOL * max(1.0, lo):
-            iterations += 1
-            if iterations >= _MAX_ITER:
-                raise NonConvergenceError(
-                    "implicit speed iteration exceeded 200 iterations",
-                    bracket=(lo, hi),
-                )
-            mid = 0.5 * (lo + hi)
-            if h(mid) > 0.0:
-                hi = mid
-            else:
-                lo = mid
-        c = 0.5 * (lo + hi)
-        converged = True
-
-    # tight final pass: re-maximise carefully at the settled speed and,
-    # after the damped iteration, polish the fixed point until the reported
-    # residual is honest.  Not after bisection: there the map c -> sqrt(2G)
-    # is expanding, so each polish step would move c away from the root.
-    beta_s, G_s = sup_G(c, xtol=1e-6)
-    for _ in range(0 if bisected else 3):
-        target = sqrt(2.0 * max(G_s, 0.0))
-        if abs(target - c) < 1e-12:
+    # tight final pass: re-maximise carefully at the settled speed, then
+    # polish while the fixed-point steps contract; a step whose update grows
+    # (the map c -> sqrt(2G) is expanding there) would move c off the root
+    beta_s, G_s, target = sup_G(c, xtol=1e-6)
+    for _ in range(3):
+        update = target - c
+        if abs(update) < 1e-12:
+            break
+        iterations += 1
+        trial = sup_G(target, xtol=1e-6, hint=beta_s)
+        if abs(trial[2] - target) >= abs(update):
             break
         c = target
-        iterations += 1
-        beta_s, G_s = sup_G(c, xtol=1e-6, hint=beta_s)
+        beta_s, G_s, target = trial
     residual = abs(c * c - 2.0 * max(G_s, 0.0))
 
     return SpeedSolve(
@@ -544,7 +531,7 @@ def solve_implicit_speed(model: TwoSpeciesModel) -> SpeedSolve:
         iterations=iterations,
         residual=residual,
         epsilon=model.kappa * model.nu / c if c > 0 else float("inf"),
-        converged=converged,
+        converged=True,
         beta_star=beta_s,
         c_linear=c_lin,
         stats=stats,
@@ -655,19 +642,15 @@ def pontryagin_residual(
 
         max_q |(kappa/c) u2 omega q|  /  max_q |c D phi v*^2|,
 
-    both maxima over the interior of the profile grid.  Scales like the
+    both maxima over 48 interior points of the 161-point u1 grid that
+    ``_closed_profile`` probes D on.  Scales like the
     weak-coupling parameter epsilon = kappa nu / c.
     """
     if model.kappa == 0.0 or model.nu == 0.0:
         return 0.0
     u2w = adjoint_product(model, beta, c, profile)
-    grid = profile.u1_grid
-    interior = grid[(grid > 1e-6) & (grid < 1.0 - 1e-9)]
-    if len(interior) > 48:
-        idx = np.unique(
-            np.round(np.linspace(0, len(interior) - 1, 48)).astype(int)
-        )
-        interior = interior[idx]
+    grid = _CLOSED_U1[(_CLOSED_U1 > 1e-6) & (_CLOSED_U1 < 1.0 - 1e-9)]
+    interior = grid[np.round(np.linspace(0, len(grid) - 1, 48)).astype(int)]
     numer = max(
         abs(model.kappa / c * u2w(q) * q) for q in interior
     )

@@ -9,13 +9,16 @@ Proves:
     versions, output files, and wall clock.
  2. ``bound fisher-stefan`` and ``bound two-species`` print their payloads;
     the two-species payload embeds the weak-coupling report and the
-    solve's G-evaluation counts.
+    solve's G-evaluation counts; a coupled model with no linear speed
+    (c_linear = 0) still solves and exits 0.
  3. ``criterion`` classifies models on the correct side of the
     pushed/pulled boundary.
  4. Model, config, and expression-syntax errors exit 2 with an ``error:``
     line on stderr (the parse position survives into the message); a
     model outside the method's domain exits 2 and a solver failure exits
-    3, each with one ``error:`` line and no traceback; every package
+    3, each with one ``error:`` line and no traceback (a kappa so large
+    that the profile overflows exits 3 with no NumPy warning before the
+    line); every package
     error has an exit code; an ``--out`` that is (or lies under) a
     regular file exits 2 with one ``error:`` line and nothing on stdout;
     an unknown flag prints the subcommand's usage line, not the root's;
@@ -147,6 +150,20 @@ def test_bound_two_species_payload(tmp_path, capsys):
     assert set(report) == {"epsilon", "crowding_ratio", "valid"}
     assert report["valid"] is True
     _manifest(tmp_path, "bound-two-species_manifest.json")
+
+
+def test_bound_two_species_without_linear_speed(tmp_path, capsys):
+    # f'(0, nu) = 1 - 6 nu < 0, so c_linear = 0: the speed comes from the
+    # bracket on c^2 - 2 sup G, never from a step to c = 0
+    code, out, err = _run(capsys, [
+        "bound", "two-species", "--D", "1", "--f", "u1*(1 - u1 - 6*u2)",
+        "--kappa", "1", "--nu", "0.5", "--out", str(tmp_path),
+    ])
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["c_linear"] == 0.0
+    assert payload["c"] > 0.0
+    assert payload["residual"] < 1e-7
 
 
 @pytest.mark.parametrize(
@@ -290,6 +307,20 @@ def test_non_convergence_exit_3_bracket_once(tmp_path, capsys, monkeypatch):
     assert err.startswith("error:") and err.count("\n") == 1
     assert err.count("last bracket") == 1
     assert "[1.25, 1.5]" in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_huge_kappa_exit_3_without_warnings(tmp_path, capsys):
+    # kappa beta / c^2 overflows; the quadrature refuses the non-finite
+    # integrand, and no NumPy overflow warning precedes the error line
+    code, out, err = _run(capsys, [
+        "bound", "two-species", "--preset", "ecm_b", "--param", "kappa=1e308",
+        "--out", str(tmp_path),
+    ])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "not finite" in err
 
 
 @pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "under_file"])

@@ -293,7 +293,12 @@ def test_two_species_profiles_csv(tmp_path):
 @pytest.mark.parametrize("name", sorted(_SIMULATORS))
 def test_snapshots_at_start_and_end(name):
     cfg = SimConfig(L=40.0, dx=0.2, T=2.0, snapshot_times=(0.0, 1.0, 2.0))
-    res = _SIMULATORS[name](cfg)
+    if name == "stefan":
+        # T = 2 is too short for the boundary speed to plateau
+        with pytest.warns(RuntimeWarning, match="plateaued"):
+            res = _SIMULATORS[name](cfg)
+    else:
+        res = _SIMULATORS[name](cfg)
     assert set(res.snapshots) == set(cfg.snapshot_times)
     assert res.stats["dt"] * res.stats["n_steps"] == pytest.approx(cfg.T, rel=1e-12)
 

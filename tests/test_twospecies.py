@@ -29,8 +29,9 @@ Proves:
       one sup-over-beta search evaluates G at each beta once and counts
       its evaluations, as SpeedSolve.stats does for a whole solve; on
       landman the search matches a fine maximisation of the closed-form
-      G to 1e-9; after the bisection fallback the reported speed is the
-      root of c^2 - 2 sup G (bisected here on the closed form) to 1e-8
+      G to 1e-9; on crowded models with c_linear = 0, the damped steps
+      that stall or overshoot to c = 0 among them, the reported speed is
+      the root of c^2 - 2 sup G (bisected here on the closed form) to 1e-8
   7.  The adjoint quadrature matches the hand-derived co-state integral
       lambda * integral q phi u2 dq for the crowding model
   8.  pontryagin_residual vanishes for decoupled models and stays within
@@ -463,16 +464,21 @@ def test_sup_G_matches_landman_closed_form():
         assert G_s == pytest.approx(-fine.fun, rel=1e-9)
 
 
-def test_bisection_fallback_reports_the_root():
-    # f'(0, nu) = 1 - 5 nu < 0, so c_linear = 0 and the damped iteration
-    # never settles: bisection on h(c) = c^2 - 2 sup G finds the speed.
-    # With D = 1 the slaved u2 / nu is landman's, lambda = 5 nu, so the
-    # root is bisected here on the closed form.
-    lam, kappa = 2.5, 3.0
+# crowded D = 1 models with f'(0, nu) = 1 - lam < 0, so c_linear = 0: on
+# the (2.5, 3) row the damped steps never settle and the bracket's
+# midpoints find the root; on (1.5, 1) and (3, 1) the first damped step
+# is c = 0, outside the bracket; on (2, 3) a polish step would grow
+@pytest.mark.parametrize("lam, kappa", [(2.5, 3.0), (1.5, 1.0), (3.0, 1.0), (2.0, 3.0)])
+def test_bisection_fallback_reports_the_root(lam, kappa):
+    # With D = 1 and f = u1 (1 - u1 - (lam / nu) u2) the slaved u2 / nu is
+    # landman's, so the root is bisected here on the closed form.
+    nu = 0.5
     res = solve_implicit_speed(
-        TwoSpeciesModel("1", "u1*(1 - u1 - 5*u2)", kappa=kappa, nu=0.5)
+        TwoSpeciesModel("1", f"u1*(1 - u1 - {lam / nu!r}*u2)", kappa=kappa, nu=nu)
     )
-    assert res.iterations > 60  # the bisection ran
+    if (lam, kappa) == (2.5, 3.0):
+        assert res.iterations > 60  # the bracket's midpoints ran
+        assert res.stats["G_evals"] < 1500
 
     def h(c):
         fine = minimize_scalar(
@@ -483,6 +489,7 @@ def test_bisection_fallback_reports_the_root():
         return c * c - 2.0 * max(sup, 0.0)
 
     lo, hi = 0.2, 0.8
+    assert h(lo) < 0.0 < h(hi)
     while hi - lo > 1e-13:
         mid = 0.5 * (lo + hi)
         lo, hi = (lo, mid) if h(mid) > 0.0 else (mid, hi)
