@@ -107,7 +107,8 @@ def dop853(
     step that ends at or below ``y_stop`` (the default never stops early).
 
     Raises StepFailureError where ``solve_ivp`` would report failure: the
-    step size fell below ten times the float spacing at t.
+    step size fell below ten times the float spacing at t, or the initial
+    step underflowed to 0 (or is NaN) on an overflowing slope.
     """
     stages, errors, dense = _kernels()
     t, y = 0.0, float(y0)
@@ -116,6 +117,10 @@ def dop853(
     scale = atol + abs(y) * rtol
     d0, d1 = abs(y) / scale, abs(f) / scale
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_end)
+    if not h0 > 0.0:
+        raise StepFailureError(
+            f"substance-profile integration failed: no usable initial step (h0 = {h0})"
+        )
     d2 = abs(fun(h0, y + h0 * f) - f) / scale / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h_abs = min(100 * h0, max(1e-6, h0 * 1e-3), t_end)

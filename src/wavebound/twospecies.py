@@ -23,8 +23,8 @@ slaving approximation is trusted, and the adjoint diagnostics quantify
 the neglected term in the underlying optimality system.
 
 Every slaved profile, whichever way u2(u1) is obtained, is a
-``WaveProfile2`` built by ``_closed_profile`` from a map w -> u2 on
-w = -ln(1 - u1) and the exponent of its power-law tail.
+``WaveProfile2`` built by ``_closed_profile`` from one map w -> u2 on
+w = -ln(1 - u1), valid on all of [0, inf].
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from ._search import golden_max
 from .errors import (
     ConfigError,
     DegenerateDiffusionError,
+    ModelError,
     NonConvergenceError,
 )
 from .model import TwoSpeciesModel
@@ -62,14 +63,11 @@ __all__ = [
     "weak_coupling_report",
 ]
 
-# The profile ODE is integrated in w = -ln(1 - u1) up to u1 = 1 - 1e-8;
-# beyond that the analytic power-law tail takes over.
-_U1_CUT = 1e-8
-_W_MAX = -log(_U1_CUT)
-# the u1 grid of a closed-form profile, and w on its points below the cut
-_CLOSED_U1 = np.append(np.linspace(0.0, 1.0 - _U1_CUT, 160), 1.0)
-_CLOSED_W = -np.log1p(-_CLOSED_U1[:-1])
-_CLOSED_W.flags.writeable = False
+# the u1 grid on which every profile's D is probed
+_CLOSED_U1 = np.append(np.linspace(0.0, 1.0 - 1e-8, 160), 1.0)
+# the general-D profile ODE is integrated in w = -ln(1 - u1) up to
+# u1 = 1 - 1e-8; its analytic power-law tail takes over past that cut
+_W_MAX = -log(1e-8)
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,30 +77,19 @@ class WaveProfile2:
     beta: float
     c: float
     nu: float
-    tail_exponent: float
-    _interp: Callable[[np.ndarray], np.ndarray]
-    _u2_cut: float
+    _u2_of_w: Callable[[np.ndarray], np.ndarray]
 
     def u2_at(self, u1: np.ndarray) -> np.ndarray:
-        """Evaluate u2 at arbitrary u1 in [0, 1] (vectorised).
+        """Evaluate u2 at arbitrary u1 in [0, 1] (vectorised), through the
+        profile's map w -> u2 at w = -ln(1 - u1): the closed form, the
+        substance curve, or the ODE solver's dense output with its tail.
 
-        Up to u1 = 1 - 1e-8 the profile's own map w -> u2 is used (the
-        closed form, the substance curve, or the ODE solver's dense
-        output); past it the analytic tail
-        u2 = u2(cut) ((1-u1)/1e-8)^p with p = kappa beta D(1,0) / c^2.
+        A huge kappa overflows the map's rate to inf (and 0 * inf is NaN);
+        the quadrature then reports the non-finite integrand.
         """
         u1 = np.asarray(u1, dtype=float)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            w = -np.log1p(-u1)
-            inside = w <= _W_MAX
-            vals = self._interp(np.minimum(w, _W_MAX))
-            # tail in log space; the exponent is clipped at 0 because the
-            # inside branch is discarded by the where() anyway, and fmin
-            # maps the NaN of 0 * inf (p = 0 at u1 = 1) to 0
-            log_arg = np.fmin(self.tail_exponent * (_W_MAX - w), 0.0)
-        tail = self._u2_cut * np.exp(log_arg)
-        out = np.where(inside, vals, tail)
-        return np.clip(out, 0.0, self.nu)
+            return np.clip(self._u2_of_w(-np.log1p(-u1)), 0.0, self.nu)
 
 
 @dataclass(frozen=True)
@@ -228,25 +215,20 @@ def _closed_profile(
     model: TwoSpeciesModel,
     beta: float,
     c: float,
-    interp: Callable[[np.ndarray], np.ndarray],
-    rate: float,
+    u2_of_w: Callable[[np.ndarray], np.ndarray],
 ) -> WaveProfile2:
-    """The profile u2 = interp(w) up to the cut, with tail exponent rate.
+    """The profile u2 = u2_of_w(w), w = -ln(1 - u1).
 
     D is probed on a fixed 161-point u1 grid, with u2 at u1 = 1 the far
     field nu when nothing degrades the substance (kappa = 0) and 0
     otherwise: a profile along which D vanishes is refused.
     """
-    u2 = np.append(interp(_CLOSED_W), model.nu if model.kappa == 0.0 else 0.0)
-    _nondegenerate_D(model, _CLOSED_U1, u2)
-    return WaveProfile2(
-        beta=beta,
-        c=c,
-        nu=model.nu,
-        tail_exponent=rate,
-        _interp=interp,
-        _u2_cut=float(interp(np.array(_W_MAX))),
+    profile = WaveProfile2(beta, c, model.nu, u2_of_w)
+    u2 = np.append(
+        profile.u2_at(_CLOSED_U1[:-1]), model.nu if model.kappa == 0.0 else 0.0
     )
+    _nondegenerate_D(model, _CLOSED_U1, u2)
+    return profile
 
 
 def solve_u2_profile(model: TwoSpeciesModel, beta: float, c: float) -> WaveProfile2:
@@ -255,17 +237,19 @@ def solve_u2_profile(model: TwoSpeciesModel, beta: float, c: float) -> WaveProfi
     The equation du2/du1 = -(kappa beta / c^2) u2 D / (1 - u1) is stiff in
     u1 near the far edge; substituting w = -ln(1 - u1) removes the 1/(1-u1)
     factor entirely, leaving du2/dw = -eta u2 D(u1(w), u2) with eta =
-    kappa beta / c^2, carried to u1 = 1 - 1e-8 and closed with the
-    analytic tail u2 ~ (1 - u1)^p, p = eta D(1, 0).  Four routes, each
-    handing its map w -> u2 and p to ``_closed_profile``:
+    kappa beta / c^2.  Four routes, each handing one map w -> u2, valid on
+    all of [0, inf], to ``_closed_profile``:
 
-    * decoupled (kappa = 0 or nu = 0): u2 = nu throughout, p = 0;
+    * decoupled (kappa = 0 or nu = 0): u2 = nu throughout;
     * constant D: the exact power law u2 = nu (1 - u1)^(eta D);
     * D = D(u2): u2(w) = U(eta w) on the model's substance curve U, which
-      is solved once per model and shared by every (beta, c);
+      is solved once per model, shared by every (beta, c) and carries its
+      own exponential tail;
     * general D: one integration per (beta, c), rtol 1e-10, on the scalar
       DOP853 of ``_ode``, which takes solve_ivp's steps in plain floats
-      and is read through its dense output.
+      and is read through its dense output up to u1 = 1 - 1e-8; past that
+      cut the analytic tail u2 = u2(cut) e^(-p (w - cut)), p = eta D(1, 0),
+      takes over.
     """
     if not c > 0.0:
         raise ConfigError(f"c must be > 0, got {c}")
@@ -275,29 +259,18 @@ def solve_u2_profile(model: TwoSpeciesModel, beta: float, c: float) -> WaveProfi
     coef = kappa * beta / (c * c)
 
     if kappa == 0.0 or nu == 0.0:
-        return _closed_profile(
-            model, beta, c, lambda w: np.full(np.shape(w), nu), 0.0
-        )
+        return _closed_profile(model, beta, c, lambda w: np.full(np.shape(w), nu))
 
     if not model.D_vars:
         # constant diffusivity: the slaved ODE is linear with constant
         # rate, u2 = nu (1 - u1)^(coef D), exact everywhere -- no need to
         # pay for an adaptive integration
         rate = coef * float(model.D_fn(0.0, nu))
-        return _closed_profile(
-            model, beta, c, lambda w: nu * np.exp(-rate * w), rate
-        )
+        return _closed_profile(model, beta, c, lambda w: nu * np.exp(-rate * w))
 
     if model.D_vars == {"u2"}:
         curve = _substance_curve(model)
-
-        def on_curve(w: np.ndarray) -> np.ndarray:
-            # at a huge kappa, coef * w overflows to inf (and 0 * inf is
-            # NaN); the quadrature then reports the non-finite integrand
-            with np.errstate(over="ignore", invalid="ignore"):
-                return curve(coef * w)
-
-        return _closed_profile(model, beta, c, on_curve, coef * curve.rate)
+        return _closed_profile(model, beta, c, lambda w: curve(coef * w))
 
     D_fn = model.D_fn
 
@@ -306,13 +279,17 @@ def solve_u2_profile(model: TwoSpeciesModel, beta: float, c: float) -> WaveProfi
         return -coef * y * float(D_fn(-expm1(-w), u2))
 
     sol = dop853(rhs, _W_MAX, nu, 1e-10, 1e-14 * max(nu, 1e-6))
-    return _closed_profile(
-        model,
-        beta,
-        c,
-        lambda w: np.clip(sol(w), 0.0, nu),
-        coef * float(D_fn(1.0, 0.0)),
-    )
+    u2_cut = float(np.clip(sol(np.array(_W_MAX)), 0.0, nu))
+    p = coef * float(D_fn(1.0, 0.0))
+
+    def u2_of_w(w: np.ndarray) -> np.ndarray:
+        inside = np.clip(sol(np.minimum(w, _W_MAX)), 0.0, nu)
+        # fmin caps the exponent the where() discards below the cut, and
+        # maps the NaN of 0 * inf (p = 0 at u1 = 1) to 0
+        tail = u2_cut * np.exp(np.fmin(p * (_W_MAX - w), 0.0))
+        return np.where(w <= _W_MAX, inside, tail)
+
+    return _closed_profile(model, beta, c, u2_of_w)
 
 
 def _slaved_density(
@@ -464,7 +441,9 @@ def solve_implicit_speed(model: TwoSpeciesModel) -> SpeedSolve:
     unbounded; otherwise c moves to the bracket's midpoint.  The loop stops
     when the update drops below 1e-8 (c takes the fixed-point value) or the
     bracket of a midpoint step is narrower than 1e-8 max(1, lo), and raises
-    NonConvergenceError with the last bracket after 200 iterations.
+    NonConvergenceError with the last bracket after 200 iterations.  A model
+    whose sup G is <= 0 at every c tried (no positive update, so lo stays
+    0) has no positive speed and raises ModelError.
 
     The settled c is re-maximised at xtol 1e-6, then polished by up to three
     steps c <- sqrt(2 sup G), each kept only if its update is smaller than
@@ -508,6 +487,11 @@ def solve_implicit_speed(model: TwoSpeciesModel) -> SpeedSolve:
     else:
         raise NonConvergenceError(
             "implicit speed iteration exceeded 200 iterations", bracket=(lo, hi)
+        )
+    if lo == 0.0 and target == 0.0:
+        raise ModelError(
+            "the model has no positive self-consistent speed: sup over beta "
+            "of G(beta; c) is <= 0 at every c tried"
         )
 
     # tight final pass: re-maximise carefully at the settled speed, then
@@ -586,13 +570,12 @@ def adjoint_product(
     Along the slaved profile the multiplier enforcing the substance ODE
     satisfies the quadrature representation
 
-        u2(u1) omega(u1) = - integral_{u1}^1 [ u2 (phi' D v^2 - c v phi) dD/du2
-                                               + u2 d(D f)/du2 phi ] dq
+        u2(u1) omega(u1) = - integral_{u1}^1 u2 d(D f)/du2 phi dq.
 
-    evaluated at v = v*(q).  The first bracket vanishes identically at
-    v = v* (it is the stationarity combination); it is kept so that the
-    formula stays faithful for perturbed controls.  The u2-derivatives
-    are central differences clamped at the far-field ceiling.
+    The pointwise Hamiltonian c phi D v + phi' D^2 v^2 / 2 also depends on
+    u2 through D, but its derivative (c phi v + phi' D v^2) dD/du2 vanishes
+    at the control v* = c q (1-q) / (beta D), where c phi + phi' D v* = 0.
+    d(D f)/du2 is a central difference clamped at the far-field ceiling.
     """
     D_fn, f_fn = model.D_fn, model.f_fn
     nu = model.nu
@@ -605,15 +588,7 @@ def adjoint_product(
     def integrand(q: np.ndarray) -> np.ndarray:
         q = np.asarray(q, dtype=float)
         u2 = profile.u2_at(q)
-        D = np.asarray(D_fn(q, u2), dtype=float)
-        phi = _phi(q, beta)
-        # phi'(q) for phi = ((1-q)/q)^beta
-        dphi = -beta * phi / (q * (1.0 - q))
-        v = c * q * (1.0 - q) / (beta * D)
-        stationarity = dphi * D * v * v - c * v * phi
-        dD = _d_du2(D_fn, q, u2, nu)
-        dDf = _d_du2(Df, q, u2, nu)
-        return u2 * stationarity * dD + u2 * dDf * phi
+        return u2 * _d_du2(Df, q, u2, nu) * _phi(q, beta)
 
     def u2_omega(u1: float) -> float:
         u1 = float(u1)
@@ -637,7 +612,7 @@ def pontryagin_residual(
     """Size of the neglected co-state term in the control stationarity.
 
     At v = v* the cubic's first two terms cancel exactly, so what is left
-    of  -phi' D^2 v^3 + c D phi v^2 + (kappa/c) omega u1 u2  is the
+    of  phi' D^2 v^3 + c D phi v^2 + (kappa/c) omega u1 u2  is the
     adjoint piece alone.  Returned is
 
         max_q |(kappa/c) u2 omega q|  /  max_q |c D phi v*^2|,

@@ -323,6 +323,31 @@ def test_huge_kappa_exit_3_without_warnings(tmp_path, capsys):
     assert "not finite" in err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_huge_kappa_general_D_exit_3(tmp_path, capsys):
+    # the profile ODE's slope at w = 0 overflows, so DOP853's initial step
+    # underflows to 0: a step failure, not a ZeroDivisionError traceback
+    code, out, err = _run(capsys, [
+        "bound", "two-species", "--D", "1+u1*u2", "--f", "u1*(1-u1-u2)",
+        "--kappa", "1e308", "--nu", "0.5", "--out", str(tmp_path),
+    ])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "initial step" in err
+
+
+def test_no_positive_speed_exit_2(tmp_path, capsys):
+    code, out, err = _run(capsys, [
+        "bound", "two-species", "--D", "1", "--f=0 - u1*(1-u1)",
+        "--kappa", "1", "--nu", "0.5", "--out", str(tmp_path),
+    ])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "no positive self-consistent speed" in err
+
+
 @pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "under_file"])
 def test_out_not_a_directory_exit_2(tmp_path, capsys, sub):
     blocker = tmp_path / "file"

@@ -9,13 +9,14 @@ Proves:
       solve, each forced by an inert term) and the
       logistic form for D = 1 - u2, across random (kappa, nu, beta, c)
   3.  WaveProfile2 invariants: u2 starts at nu, decays monotonically to
-      0, stays inside [0, nu], and is continuous across the tail seam;
-      past the cut, u2_at equals its np.minimum/np.nan_to_num form on all
-      three routes, with tail exponent p > 0 and p = 0 (u1 = 1 included);
-      for D = D(u2) the profile read off the model's one substance curve
-      matches a direct DOP853 solve, does not depend on which (beta, c)
-      was asked first, and a D that vanishes at u2 = 0 or stalls the
-      substance is refused
+      0, stays inside [0, nu], and each route's map holds past
+      u1 = 1 - 1e-8 up to u1 = 1; the general-D route's analytic tail
+      u2(cut) ((1 - u1)/1e-8)^p, p = kappa beta D(1, 0) / c^2, takes over
+      at that cut continuously and reaches 0 at u1 = 1; for D = D(u2)
+      the profile read off the model's one substance curve matches a
+      direct DOP853 solve, does not depend on which (beta, c) was asked
+      first, and a D that vanishes at u2 = 0 or stalls the substance is
+      refused
   4.  G(beta; c) by quadrature matches the Gamma-function closed form
       for the crowding model on a (lambda, kappa, beta) grid, including
       through the general ODE path, and G(2; c) = 2(1 - lambda) exactly
@@ -29,17 +30,20 @@ Proves:
       one sup-over-beta search evaluates G at each beta once and counts
       its evaluations, as SpeedSolve.stats does for a whole solve; on
       landman the search matches a fine maximisation of the closed-form
-      G to 1e-9; on crowded models with c_linear = 0, the damped steps
-      that stall or overshoot to c = 0 among them, the reported speed is
-      the root of c^2 - 2 sup G (bisected here on the closed form) to 1e-8
-  7.  The adjoint quadrature matches the hand-derived co-state integral
-      lambda * integral q phi u2 dq for the crowding model
+      G to 1e-9; a model whose sup G is <= 0 at every c has no positive
+      speed and is refused; on crowded models with c_linear = 0, the
+      damped steps that stall or overshoot to c = 0 among them, the
+      reported speed is the root of c^2 - 2 sup G (bisected here on the
+      closed form) to 1e-8
+  7.  The adjoint quadrature matches the hand-derived co-state integrals
+      lambda * integral q phi u2 dq for the crowding model and
+      integral u2 q (1-q) phi dq for ecm_c (D = 1 - u2), whose Hamiltonian
+      term through dD/du2 vanishes at v*
   8.  pontryagin_residual vanishes for decoupled models and stays within
       a few epsilon otherwise; weak_coupling_report applies both
       validity gates
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -48,7 +52,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import minimize_scalar
 
 from wavebound._quad import quad
-from wavebound.errors import ConfigError, DegenerateDiffusionError
+from wavebound.errors import ConfigError, DegenerateDiffusionError, ModelError
 from wavebound.model import TwoSpeciesModel, make_preset
 from wavebound.twospecies import (
     G_of_beta,
@@ -125,7 +129,7 @@ def exact_logistic(nu, eta, u1):
 
 def test_constant_D_profile_is_power_law():
     rng = np.random.default_rng(7)
-    probe = np.linspace(0.0, 1.0, 401)
+    probe = np.append(np.linspace(0.0, 1.0, 401), [1.0 - 1e-9, 1.0 - 1e-12, 1.0])
     for _ in range(6):
         kappa = float(rng.uniform(0.1, 5.0))
         beta = float(rng.uniform(0.2, 1.8))
@@ -139,7 +143,7 @@ def test_constant_D_profile_is_power_law():
 
 
 def test_forced_ode_path_matches_power_law():
-    probe = np.linspace(0.0, 1.0, 201)
+    probe = np.append(np.linspace(0.0, 1.0, 201), [1.0 - 1e-9, 1.0 - 1e-12, 1.0])
     for var in ("u2", "u1"):
         for kappa, beta, c in [(0.7, 0.9, 1.1), (2.5, 1.4, 0.8)]:
             m = crowding_model(0.5, kappa, force_ode=var)
@@ -153,7 +157,7 @@ def test_forced_ode_path_matches_power_law():
 
 def test_ecm_profile_is_logistic():
     rng = np.random.default_rng(11)
-    probe = np.linspace(0.0, 1.0, 301)
+    probe = np.append(np.linspace(0.0, 1.0, 301), [1.0 - 1e-9, 1.0 - 1e-12, 1.0])
     for _ in range(6):
         kappa = float(rng.uniform(0.1, 4.0))
         nu = float(rng.uniform(0.05, 0.9))
@@ -188,41 +192,23 @@ def test_profile_tail_seam_continuity():
     assert just_outside == pytest.approx(just_inside, abs=1e-9)
 
 
-def _minimum_nan_to_num_u2_at(prof, u1):
-    """WaveProfile2.u2_at with its tail exponent formed by np.minimum and
-    np.nan_to_num, as before np.fmin took their place."""
-    w_max = -math.log(1e-8)
-    with np.errstate(divide="ignore"):
-        w = -np.log1p(-u1)
-    vals = prof._interp(np.minimum(w, w_max))
-    log_arg = np.minimum(prof.tail_exponent * (w_max - w), 0.0)
-    tail = prof._u2_cut * np.exp(np.nan_to_num(log_arg, nan=0.0))
-    return np.clip(np.where(w <= w_max, vals, tail), 0.0, prof.nu)
-
-
-@pytest.mark.parametrize(
-    "model",
-    [
-        make_preset("landman", {"lambda": 0.5, "K": 2.0}),
-        make_preset("ecm_b", {"kappa": 2.0, "nu": 0.6}),
-        TwoSpeciesModel("1 + 0.5*u1 - u2", "u1*(1 - u1 - u2)", kappa=1.05, nu=0.5),
-    ],
-    ids=["constant_D", "D_of_u2", "general_D"],
-)
-@pytest.mark.parametrize("zero_tail", [False, True], ids=["p>0", "p=0"])
-def test_u2_at_tail_matches_minimum_nan_to_num(model, zero_tail):
-    prof = solve_u2_profile(model, 0.3, 1.5)
-    assert prof.tail_exponent > 0.0
-    if zero_tail:
-        prof = dataclasses.replace(prof, tail_exponent=0.0)
-    u1 = np.array([0.0, 0.5, 1.0 - 1e-8, 1.0 - 1e-9, 1.0])
-    with np.errstate(invalid="ignore"):  # 0 * inf at u1 = 1 when p = 0
-        got = prof.u2_at(u1)
-        want = _minimum_nan_to_num_u2_at(prof, u1)
-    np.testing.assert_array_equal(got, want)
-    # p = 0 holds the cut value out to u1 = 1; p > 0 decays past the cut
-    assert got[-1] == (prof._u2_cut if zero_tail else 0.0)
-    assert (got[3] == prof._u2_cut) == zero_tail
+def test_general_D_tail_past_the_cut():
+    model = TwoSpeciesModel("1 + 0.5*u1 - u2", "u1*(1 - u1 - u2)", kappa=1.05, nu=0.5)
+    beta, c = 0.3, 1.5
+    prof = solve_u2_profile(model, beta, c)
+    p = model.kappa * beta / (c * c) * float(model.D_fn(1.0, 0.0))
+    u2_cut = prof.u2_at(np.array([1.0 - 1e-8]))[0]
+    assert 0.0 < u2_cut < 0.5
+    # rtol: the float 1 - 1e-8 sits off the cut by about 1e-8 relative in
+    # 1 - u1, which moves u2_cut by about p times that
+    u1 = 1.0 - np.array([9.999e-9, 1e-9, 1e-10, 1e-12, 1e-15])
+    np.testing.assert_allclose(
+        prof.u2_at(u1), u2_cut * ((1.0 - u1) / 1e-8) ** p, rtol=1e-8, atol=0
+    )
+    assert prof.u2_at(np.array([1.0]))[0] == 0.0
+    # the dense output and the tail meet at the seam
+    inside, outside = prof.u2_at(np.array([1.0 - 1.0000001e-8, 1.0 - 0.9999999e-8]))
+    assert outside == pytest.approx(inside, rel=1e-6)
 
 
 def _reference_ecm_b_profile(kappa, nu, beta, c, u1):
@@ -464,6 +450,13 @@ def test_sup_G_matches_landman_closed_form():
         assert G_s == pytest.approx(-fine.fun, rel=1e-9)
 
 
+def test_no_positive_speed_is_a_model_error():
+    # f < 0 on (0, 1): G(beta; c) < 0 for every beta and c
+    m = TwoSpeciesModel("1", "0 - u1*(1 - u1)", kappa=1.0, nu=0.5)
+    with pytest.raises(ModelError, match="no positive self-consistent speed"):
+        solve_implicit_speed(m)
+
+
 # crowded D = 1 models with f'(0, nu) = 1 - lam < 0, so c_linear = 0: on
 # the (2.5, 3) row the damped steps never settle and the bracket's
 # midpoints find the root; on (1.5, 1) and (3, 1) the first damped step
@@ -538,6 +531,31 @@ def test_adjoint_matches_crowding_integral():
 
     for u1 in (0.05, 0.3, 0.7):
         assert u2w(u1) == pytest.approx(oracle(u1), rel=1e-7, abs=1e-10)
+
+
+def test_adjoint_matches_ecm_c_integral():
+    # For D = 1 - u2, f = u1 (1 - u1): d(D f)/du2 = -u1 (1 - u1), so
+    # u2 omega(u1) = integral_u1^1 u2(q) q (1-q) phi(q) dq with u2 the
+    # exact logistic; the term through dD/du2 vanishes at v*.
+    kappa, nu, beta, c = 2.0, 0.4, 1.1, 1.3
+    eta = kappa * beta / (c * c)
+    m = make_preset("ecm_c", {"kappa": kappa, "nu": nu})
+    prof = solve_u2_profile(m, beta, c)
+    u2w = adjoint_product(m, beta, c, prof)
+
+    def oracle(u1):
+        val, _ = quad(
+            lambda q: exact_logistic(nu, eta, q) * q * (1.0 - q)
+            * ((1.0 - q) / q) ** beta,
+            u1,
+            1.0 - 1e-12,
+            epsabs=1e-13,
+            epsrel=1e-12,
+        )
+        return val
+
+    for u1 in (0.05, 0.3, 0.7):
+        assert u2w(u1) == pytest.approx(oracle(u1), rel=1e-8)
 
 
 def test_adjoint_edge_cases():
