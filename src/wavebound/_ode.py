@@ -80,12 +80,12 @@ def _kernels() -> tuple:
 
 class DenseSolution:
     """Step times ``t``, step values ``y`` and the dense interpolant between
-    them; ``coef[:, k]`` holds step k's 7 coefficients, as scipy's
+    them; ``coef[k]`` holds step k's 7 coefficients, as scipy's
     ``Dop853DenseOutput`` forms them."""
 
     def __init__(self, t: list, y: list, coef: list) -> None:
         self.t, self.y = np.array(t), np.array(y)
-        self.coef = np.array(coef).T
+        self.coef = np.array(coef)
         self._h = np.diff(self.t)
 
     def __call__(self, t: np.ndarray) -> np.ndarray:
@@ -93,7 +93,7 @@ class DenseSolution:
         i = np.searchsorted(self.t, t, side="left") - 1
         i = np.minimum(np.maximum(i, 0), len(self._h) - 1)
         x = (t - self.t[i]) / self._h[i]
-        F = self.coef[:, i]
+        F = self.coef[i].T
         out = F[6] * x
         for k in range(5, -1, -1):
             out = (out + F[k]) * (x if k % 2 == 0 else 1.0 - x)

@@ -192,6 +192,8 @@ def _fit_front(
         return float("nan"), float("nan")
     t = np.array([p[0] for p in pts])
     X = np.array([p[1] for p in pts])
+    if not t @ t > 0.0:  # polyfit would divide t by a norm that underflowed
+        return float("nan"), float("nan")
     slope, intercept = np.polyfit(t, X, 1)
     resid = float(np.sqrt(np.mean((X - (slope * t + intercept)) ** 2)))
     return float(slope), resid
@@ -239,13 +241,18 @@ def _grid(cfg: SimConfig) -> np.ndarray:
             f"grid too coarse: {n_cells} cells < {_MIN_CELLS}; "
             "reduce dx or enlarge L"
         )
-    return np.linspace(0.0, cfg.L, n_cells + 1)
+    try:
+        return np.linspace(0.0, cfg.L, n_cells + 1)
+    except ValueError:  # NumPy's "Maximum allowed size exceeded"
+        raise ConfigError(f"grid too fine: {cfg.L / cfg.dx:.3g} cells") from None
 
 
 def _steps(cfg: SimConfig, dt_limit: float) -> Tuple[float, int]:
     """Time step and count: honour cfg.dt, else take the stability limit,
     then shave dt so the run lands on T exactly."""
     dt = cfg.dt if cfg.dt is not None else dt_limit
+    if not math.isfinite(cfg.T / dt):
+        raise ConfigError(f"T / dt = {cfg.T:g} / {dt:g} overflows: too many steps")
     n_steps = max(1, int(math.ceil(cfg.T / dt - 1e-12)))
     return cfg.T / n_steps, n_steps
 

@@ -24,7 +24,9 @@ the neglected term in the underlying optimality system.
 
 Every slaved profile, whichever way u2(u1) is obtained, is a
 ``WaveProfile2`` built by ``_closed_profile`` from one map w -> u2 on
-w = -ln(1 - u1), valid on all of [0, inf].
+w = -ln(1 - u1), valid on all of [0, inf].  Both profiles built by an ODE
+come from ``_stopped_dop853``: one DOP853 run that stops once u2 is at or
+below 1e-12 nu, or at its end, and one exponential tail past its last step.
 """
 
 from __future__ import annotations
@@ -65,8 +67,8 @@ __all__ = [
 
 # the u1 grid on which every profile's D is probed
 _CLOSED_U1 = np.append(np.linspace(0.0, 1.0 - 1e-8, 160), 1.0)
-# the general-D profile ODE is integrated in w = -ln(1 - u1) up to
-# u1 = 1 - 1e-8; its analytic power-law tail takes over past that cut
+# the general-D profile ODE is integrated in w = -ln(1 - u1) up to at most
+# this cut, u1 = 1 - 1e-8
 _W_MAX = -log(1e-8)
 
 
@@ -81,8 +83,8 @@ class WaveProfile2:
 
     def u2_at(self, u1: np.ndarray) -> np.ndarray:
         """Evaluate u2 at arbitrary u1 in [0, 1] (vectorised), through the
-        profile's map w -> u2 at w = -ln(1 - u1): the closed form, the
-        substance curve, or the ODE solver's dense output with its tail.
+        profile's map w -> u2 at w = -ln(1 - u1): a closed form, or a
+        ``_stopped_dop853`` map (the substance curve or the general-D ODE).
 
         A huge kappa overflows the map's rate to inf (and 0 * inf is NaN);
         the quadrature then reports the non-finite integrand.
@@ -155,59 +157,63 @@ def _nondegenerate_D(
     return D
 
 
-class _SubstanceCurve:
-    """The slaved substance curve U(t) of a model whose D depends on u2 only.
+def _stopped_dop853(
+    rhs: Callable, t_end: float, nu: float, rtol: float, atol: float, rate: float
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The map t -> y of y' = rhs(t, y), y(0) = nu, on all of [0, inf].
+
+    ``_ode.dop853`` integrates up to t_end, or up to the first step that
+    ends at or below 1e-12 nu.  The map reads its dense output up to that
+    last step (t_last, y_last) and the exponential tail
+    y_last e^(-rate (t - t_last)) past it.
+    """
+    sol = dop853(rhs, t_end, nu, rtol, atol, y_stop=1e-12 * nu)
+    t_last, y_last = float(sol.t[-1]), float(sol.y[-1])
+
+    def y_of_t(t: np.ndarray) -> np.ndarray:
+        inside = sol(np.minimum(t, t_last))
+        tail = y_last * np.exp(-rate * np.maximum(t - t_last, 0.0))
+        return np.where(t <= t_last, inside, tail)
+
+    return y_of_t
+
+
+def _substance_curve(model: TwoSpeciesModel) -> Callable[[np.ndarray], np.ndarray]:
+    """The slaved substance curve U(t) of a model whose D depends on u2 only,
+    built on first use and kept on the model.
 
     For D = D(u2) the profile ODE du2/dw = -eta u2 D(u2), eta = kappa
     beta / c^2, is autonomous, so every (beta, c) profile is one curve
     read at a different rate: u2(w) = U(eta w), where
 
-        dU/dt = -U D(U),    U(0) = nu.
+        dU/dt = -U D(U),    U(0) = nu,
 
-    U is integrated once with ``_ode.dop853`` (rtol 1e-12) up to the
-    first step that ends at or below 1e-12 nu, read through its dense output
-    up to there and continued past it by the exponential tail at rate D(0).
+    solved by ``_stopped_dop853`` at rtol 1e-12 up to t = 1e6, with its
+    tail at rate D(0).
     """
-
-    _TINY = 1e-12
-    # if U has not decayed by this time, D(u2) vanishes somewhere in (0, nu]
-    _T_CAP = 1e6
-
-    def __init__(self, model: TwoSpeciesModel) -> None:
-        D_fn, nu = model.D_fn, model.nu
-        self.rate = float(D_fn(0.0, 0.0))
-        if self.rate <= 1e-14:
-            raise DegenerateDiffusionError(
-                "D(u1, 0) vanishes: the slaved substance has no decay rate "
-                "far behind the front"
-            )
-
-        def rhs(t: float, y: float) -> float:
-            return -y * float(D_fn(0.0, 0.0 if y < 0.0 else nu if y > nu else y))
-
-        stop = self._TINY * nu
-        self._sol = dop853(rhs, self._T_CAP, nu, 1e-12, 1e-3 * stop, y_stop=stop)
-        self._t_end = float(self._sol.t[-1])
-        self._U_end = float(self._sol.y[-1])
-        if self._U_end > stop:
-            raise DegenerateDiffusionError(
-                "D(u2) vanishes between 0 and nu: the slaved substance "
-                "never decays"
-            )
-
-    def __call__(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        inside = self._sol(np.minimum(t, self._t_end))
-        tail = self._U_end * np.exp(-self.rate * np.maximum(t - self._t_end, 0.0))
-        return np.where(t <= self._t_end, inside, tail)
-
-
-def _substance_curve(model: TwoSpeciesModel) -> _SubstanceCurve:
-    """The model's substance curve, built on first use and kept on the model."""
     curve = model.__dict__.get("_substance_curve")
-    if curve is None:
-        curve = _SubstanceCurve(model)
-        object.__setattr__(model, "_substance_curve", curve)
+    if curve is not None:
+        return curve
+    D_fn, nu = model.D_fn, model.nu
+    rate = float(D_fn(0.0, 0.0))
+    if rate <= 1e-14:
+        raise DegenerateDiffusionError(
+            "D(u1, 0) vanishes: the slaved substance has no decay rate "
+            "far behind the front"
+        )
+
+    def rhs(t: float, y: float) -> float:
+        return -y * float(D_fn(0.0, 0.0 if y < 0.0 else nu if y > nu else y))
+
+    # atol: 1e-3 of the stop level 1e-12 nu
+    curve = _stopped_dop853(rhs, 1e6, nu, 1e-12, 1e-3 * (1e-12 * nu), rate)
+    # if U has not decayed by t = 1e6, D(u2) vanishes somewhere in (0, nu]
+    if curve(1e6) > 1e-12 * nu:
+        raise DegenerateDiffusionError(
+            "D(u2) vanishes between 0 and nu: the slaved substance "
+            "never decays"
+        )
+    object.__setattr__(model, "_substance_curve", curve)
     return curve
 
 
@@ -243,13 +249,15 @@ def solve_u2_profile(model: TwoSpeciesModel, beta: float, c: float) -> WaveProfi
     * decoupled (kappa = 0 or nu = 0): u2 = nu throughout;
     * constant D: the exact power law u2 = nu (1 - u1)^(eta D);
     * D = D(u2): u2(w) = U(eta w) on the model's substance curve U, which
-      is solved once per model, shared by every (beta, c) and carries its
-      own exponential tail;
-    * general D: one integration per (beta, c), rtol 1e-10, on the scalar
-      DOP853 of ``_ode``, which takes solve_ivp's steps in plain floats
-      and is read through its dense output up to u1 = 1 - 1e-8; past that
-      cut the analytic tail u2 = u2(cut) e^(-p (w - cut)), p = eta D(1, 0),
-      takes over.
+      is solved once per model and shared by every (beta, c);
+    * general D: one integration in w per (beta, c), rtol 1e-10.
+
+    The last two are ``_stopped_dop853`` maps: the scalar DOP853 of
+    ``_ode`` runs until u2 is at or below 1e-12 nu, or to its end (t = 1e6
+    on the curve, the cut u1 = 1 - 1e-8 in w), and an exponential tail
+    takes over past its last step, at rate D(0) on the curve and
+    eta D(1, 0) in w.  So a stiff profile at large kappa stops as soon as it
+    has decayed, instead of taking steps near 3/eta all the way to the cut.
     """
     if not c > 0.0:
         raise ConfigError(f"c must be > 0, got {c}")
@@ -278,17 +286,8 @@ def solve_u2_profile(model: TwoSpeciesModel, beta: float, c: float) -> WaveProfi
         u2 = 0.0 if y < 0.0 else nu if y > nu else y
         return -coef * y * float(D_fn(-expm1(-w), u2))
 
-    sol = dop853(rhs, _W_MAX, nu, 1e-10, 1e-14 * max(nu, 1e-6))
-    u2_cut = float(np.clip(sol(np.array(_W_MAX)), 0.0, nu))
-    p = coef * float(D_fn(1.0, 0.0))
-
-    def u2_of_w(w: np.ndarray) -> np.ndarray:
-        inside = np.clip(sol(np.minimum(w, _W_MAX)), 0.0, nu)
-        # fmin caps the exponent the where() discards below the cut, and
-        # maps the NaN of 0 * inf (p = 0 at u1 = 1) to 0
-        tail = u2_cut * np.exp(np.fmin(p * (_W_MAX - w), 0.0))
-        return np.where(w <= _W_MAX, inside, tail)
-
+    rate = coef * float(D_fn(1.0, 0.0))
+    u2_of_w = _stopped_dop853(rhs, _W_MAX, nu, 1e-10, 1e-14 * max(nu, 1e-6), rate)
     return _closed_profile(model, beta, c, u2_of_w)
 
 
@@ -310,27 +309,15 @@ def _slaved_density(
     return g
 
 
-def M_of_beta(
-    model: TwoSpeciesModel,
-    beta: float,
-    c: float,
-    profile: Optional[WaveProfile2] = None,
-) -> float:
+def M_of_beta(model: TwoSpeciesModel, beta: float, c: float) -> float:
     """M(beta; c) = integral_0^1 D f u1^(-beta) (1-u1)^beta du1 along u2(u1)."""
-    if profile is None or profile.beta != beta or profile.c != c:
-        profile = solve_u2_profile(model, beta, c)
-    g = _slaved_density(model, profile)
+    g = _slaved_density(model, solve_u2_profile(model, beta, c))
     # f(0, u2) = 0 is enforced at model construction, so g is bounded at
     # u1 = 0 and the divergence probe would be redundant work here.
     return beta_weighted_integral(g, beta, probe=False)
 
 
-def G_of_beta(
-    model: TwoSpeciesModel,
-    beta: float,
-    c: float,
-    profile: Optional[WaveProfile2] = None,
-) -> float:
+def G_of_beta(model: TwoSpeciesModel, beta: float, c: float) -> float:
     """G(beta; c) = beta M / B(2-beta, 2+beta); at beta = 2, its limit.
 
     As beta -> 2 the weight concentrates at u1 = 0, where u2 = nu, so the
@@ -340,7 +327,7 @@ def G_of_beta(
     beta = float(beta)
     if beta == 2.0:
         return 2.0 * model.D_at_front * model.dfdu1_at_front
-    M = M_of_beta(model, beta, c, profile)
+    M = M_of_beta(model, beta, c)
     return beta * M / _beta(2.0 - beta, 2.0 + beta)
 
 

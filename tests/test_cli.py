@@ -28,8 +28,11 @@ Proves:
     not a traceback or a NaN in the JSON.
  5. ``simulate scalar`` writes profiles.csv and front.csv and reports the
     fitted speed; a run whose profile never crosses the tracking level
-    exits 5 without creating the output directory; ``simulate stefan``
-    rejects the initial-condition and level flags it has no use for.
+    exits 5 without creating the output directory; a T / dt that
+    overflows or a grid too fine to allocate exits 2, and times too small
+    to fit a line exit 5, each with one ``error:`` line and nothing on
+    stdout; ``simulate stefan`` rejects the initial-condition and level
+    flags it has no use for.
  6. ``figure`` sweeps write one CSV per curve with the documented header,
     rerun byte-identically, exit 6 when some points fail (listing each
     failure in the JSON payload, a non-finite grid value included), and
@@ -449,6 +452,24 @@ def test_simulate_without_front_exits_5(tmp_path, capsys):
     assert "no trackable front" in err
     # the failure is detected before any file is written
     assert not out_dir.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv, want_code, want", [
+    (["scalar", "--preset", "fisher_kpp", "--dt", "1e-320", "--T", "1"], 2, "T / dt"),
+    (["two-species", "--preset", "ecm_b", "--param", "kappa=1e308"], 2, "T / dt"),
+    (["scalar", "--preset", "fisher_kpp", "--dx", "1e-300", "--T", "1"], 2, "grid too fine"),
+    (["scalar", "--preset", "fisher_kpp", "--T", "1e-300"], 5, "no trackable front"),
+], ids=["dt", "kappa", "dx", "T"])
+def test_simulate_overflowing_input_exits_with_a_code(tmp_path, capfd, argv, want_code, want):
+    # T / dt overflows, L / dx cells cannot be allocated, or the fitted
+    # times are too small for a least-squares line: one error line each,
+    # and nothing (not even a LAPACK message) on stdout
+    code, out, err = _run(capfd, ["simulate", *argv, "--L", "50", "--out", str(tmp_path)])
+    assert code == want_code
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert want in err
 
 
 @pytest.mark.parametrize(

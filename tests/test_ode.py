@@ -85,7 +85,7 @@ def test_dop853_follows_solve_ivp(fun, y0, t_end, rtol, atol):
 def test_dense_output_is_scipys_interpolant(fun, y0, t_end, rtol, atol):
     ours = dop853(fun, t_end, y0, rtol, atol)
     pieces = [
-        Dop853DenseOutput(ours.t[k], ours.t[k + 1], ours.y[k : k + 1], ours.coef[:, k : k + 1])
+        Dop853DenseOutput(ours.t[k], ours.t[k + 1], ours.y[k : k + 1], ours.coef[k : k + 1].T)
         for k in range(len(ours.t) - 1)
     ]
     t = np.concatenate([np.linspace(0.0, t_end, 2000), ours.t])
@@ -175,7 +175,7 @@ def test_generated_kernels_match_the_stage_loop(fun, y0, t_end, rtol, atol):
     t, y, coef = _loop_dop853(fun, t_end, y0, rtol, atol)
     np.testing.assert_array_equal(ours.t, t)
     np.testing.assert_array_equal(ours.y, y)
-    np.testing.assert_array_equal(ours.coef, np.array(coef).T)
+    np.testing.assert_array_equal(ours.coef, np.array(coef))
 
 
 def test_y_stop_ends_at_the_first_step_at_or_below_it():
@@ -187,4 +187,4 @@ def test_y_stop_ends_at_the_first_step_at_or_below_it():
     assert n < len(full.t)
     np.testing.assert_array_equal(stopped.t, full.t[:n])
     np.testing.assert_array_equal(stopped.y, full.y[:n])
-    np.testing.assert_array_equal(stopped.coef, full.coef[:, : n - 1])
+    np.testing.assert_array_equal(stopped.coef, full.coef[: n - 1])

@@ -12,7 +12,9 @@ Proves:
       0, stays inside [0, nu], and each route's map holds past
       u1 = 1 - 1e-8 up to u1 = 1; the general-D route's analytic tail
       u2(cut) ((1 - u1)/1e-8)^p, p = kappa beta D(1, 0) / c^2, takes over
-      at that cut continuously and reaches 0 at u1 = 1; for D = D(u2)
+      at that cut continuously and reaches 0 at u1 = 1; at kappa = 1e4 the
+      general-D solve stops within 100 steps, once u2 <= 1e-12 nu, and
+      stays there, non-increasing, past its stop; for D = D(u2)
       the profile read off the model's one substance curve matches a
       direct DOP853 solve, does not depend on which (beta, c) was asked
       first, and a D that vanishes at u2 = 0 or stalls the substance is
@@ -211,6 +213,34 @@ def test_general_D_tail_past_the_cut():
     assert outside == pytest.approx(inside, rel=1e-6)
 
 
+def test_general_D_profile_stops_once_decayed(monkeypatch):
+    # the stiff profile ODE holds DOP853's steps near 3/eta; at kappa = 1e4
+    # that would be over 10^4 steps to the cut, but the run stops as soon
+    # as u2 is at or below 1e-12 nu
+    from wavebound import twospecies
+
+    sols = []
+    real = twospecies.dop853
+
+    def counted(*args, **kwargs):
+        sols.append(real(*args, **kwargs))
+        return sols[-1]
+
+    monkeypatch.setattr(twospecies, "dop853", counted)
+    nu = 0.5
+    model = TwoSpeciesModel("1 + u1*u2", "u1*(1 - u1 - u2)", kappa=1e4, nu=nu)
+    prof = solve_u2_profile(model, 1.5, 1.8)
+    (sol,) = sols
+    assert len(sol.t) - 1 < 100
+    w_stop = sol.t[-1]
+    assert w_stop < twospecies._W_MAX
+    # past its stop the profile stays at or below 1e-12 nu and never grows
+    u1 = 1.0 - np.exp(-w_stop) * np.logspace(0.0, -16.0, 400)
+    vals = prof.u2_at(np.append(u1, 1.0))
+    assert np.all(vals <= 1e-12 * nu)
+    assert np.all(np.diff(vals) <= 0.0)
+
+
 def _reference_ecm_b_profile(kappa, nu, beta, c, u1):
     """du2/dw = -eta u2 (1 - u2) in w = -ln(1 - u1), solved directly."""
     eta = kappa * beta / (c * c)
@@ -312,16 +342,6 @@ def test_G_closed_form_domain_checks():
         landman_G_closed(1.0, 0.5, 1.0, 0.0)
 
 
-def test_M_profile_reuse_consistency():
-    m = make_preset("ecm_c", {"kappa": 0.8, "nu": 0.4})
-    prof = solve_u2_profile(m, 1.2, 1.1)
-    direct = M_of_beta(m, 1.2, 1.1)
-    reused = M_of_beta(m, 1.2, 1.1, profile=prof)
-    stale = M_of_beta(m, 0.9, 1.1, profile=prof)  # mismatched beta: recompute
-    assert reused == pytest.approx(direct, rel=1e-10)
-    assert stale == pytest.approx(M_of_beta(m, 0.9, 1.1), rel=1e-10)
-
-
 # -- 5. decoupled limits --------------------------------------------------
 
 
@@ -407,9 +427,9 @@ def test_sup_G_evaluates_each_beta_once(monkeypatch, hint):
     betas = []
     real = twospecies.G_of_beta
 
-    def counted(model, beta, c, profile=None):
+    def counted(model, beta, c):
         betas.append(float(beta))
-        return real(model, beta, c, profile)
+        return real(model, beta, c)
 
     monkeypatch.setattr(twospecies, "G_of_beta", counted)
     model = make_preset("ecm_b", {"kappa": 10.0, "nu": 0.5})
@@ -425,9 +445,9 @@ def test_speed_solve_stats_count_G_evals(monkeypatch):
     calls = []
     real = twospecies.G_of_beta
 
-    def counted(model, beta, c, profile=None):
+    def counted(model, beta, c):
         calls.append(float(beta))
-        return real(model, beta, c, profile)
+        return real(model, beta, c)
 
     monkeypatch.setattr(twospecies, "G_of_beta", counted)
     res = solve_implicit_speed(make_preset("ecm_b", {"kappa": 10.0, "nu": 0.5}))
