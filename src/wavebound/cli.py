@@ -321,7 +321,8 @@ def _finish_sim(
     if math.isnan(result.fitted_speed):
         raise FrontTrackingError(
             "no trackable front: the profile never crossed the level inside "
-            "the usable window"
+            "the usable window, or its crossing moved less than one cell over "
+            "the fit window"
         )
     os.makedirs(args.out, exist_ok=True)
     profiles = os.path.join(args.out, "profiles.csv")

@@ -33,8 +33,12 @@ The first step covers the whole grid, the hull is re-measured every
 ``_REMEASURE`` steps, and in between the window just widens by one cell per
 side, which is always safe.  The step ratio dt max(D)/dx^2 is taken over the
 window: a cell's new D enters the next window, so the running maximum is
-the full grid's.  The moving-boundary step feeds sdot into every cell and
-so steps the whole grid.
+the full grid's.  The moving-boundary step feeds sdot into every cell, so
+it steps the whole grid, until the grid stops changing: every
+``_REMEASURE`` steps it compares the bits of rho before and after, and once
+a step changed none the run sits at a fixed point of the float map.  That
+step reads only rho, dt and constants, so every later step repeats it; the
+step then only advances the boundary, s += dt sdot, in the same order.
 """
 
 from __future__ import annotations
@@ -132,7 +136,9 @@ class SimResult:
     are NaN when no front was trackable.  ``stability_report`` is the
     largest explicit-diffusion ratio dt max(D)/dx^2 observed.  ``stats``
     says how the run was computed: the ``dt`` and ``n_steps`` used and
-    ``cell_updates``, the cells stepped summed over all steps.
+    ``cell_updates``, the cells stepped summed over all steps (the active
+    windows of the flux simulators; for the moving boundary, the interior
+    until its float fixed point, none after).
     """
 
     x_grid: np.ndarray
@@ -184,15 +190,25 @@ def _level_crossing(x: np.ndarray, rho: np.ndarray, level: float) -> float:
 
 
 def _fit_front(
-    series: Sequence[Tuple[float, float]], t_lo: float, t_hi: float
+    series: Sequence[Tuple[float, float]],
+    t_lo: float,
+    t_hi: float,
+    min_move: float = 0.0,
 ) -> Tuple[float, float]:
-    """Least-squares slope and RMS residual of X(t) over [t_lo, t_hi]."""
+    """Least-squares slope and RMS residual of X(t) over [t_lo, t_hi].
+
+    NaN when X moved less than ``min_move`` over the window: a level
+    crossing that moved less than one cell is not resolved by its grid,
+    and a run cut after a step or two fits round-off.
+    """
     pts = [(t, X) for t, X in series if t_lo - 1e-12 <= t <= t_hi + 1e-12]
     if len(pts) < 2:
         return float("nan"), float("nan")
     t = np.array([p[0] for p in pts])
     X = np.array([p[1] for p in pts])
     if not t @ t > 0.0:  # polyfit would divide t by a norm that underflowed
+        return float("nan"), float("nan")
+    if float(np.ptp(X)) < min_move:
         return float("nan"), float("nan")
     slope, intercept = np.polyfit(t, X, 1)
     resid = float(np.sqrt(np.mean((X - (slope * t + intercept)) ** 2)))
@@ -264,13 +280,16 @@ def _march(
     fields: Fields,
     step: Callable[[Fields, float], Tuple[float, int]],
     front: Callable[[Fields], Optional[float]],
+    min_move: float = 0.0,
 ) -> SimResult:
     """The one time loop: ``step(fields, dt)`` advances the fields in place
     and returns its ratio dt max(D)/dx^2 and the number of cells it
     stepped.  Step 0, every ``n_steps // 240``-th step and the last are
     sampled: blow-up guard and range on the first field, and
     ``front(fields)`` into the front series unless it is None.  Each
-    snapshot copies every field at the step nearest its time."""
+    snapshot copies every field at the step nearest its time.  The speed
+    is fitted over [T/2, T], NaN if the front moved less than
+    ``min_move`` there (see ``_fit_front``)."""
     dt, n_steps = _steps(cfg, dt_limit)
     every = max(1, n_steps // _TARGET_SAMPLES)
     snap_steps: Dict[int, List[float]] = {}
@@ -305,7 +324,7 @@ def _march(
         if X is not None:
             series.append((k * dt, X))
 
-    fitted, resid = _fit_front(series, 0.5 * cfg.T, cfg.T)
+    fitted, resid = _fit_front(series, 0.5 * cfg.T, cfg.T, min_move)
     return SimResult(
         x_grid=x,
         snapshots=snapshots,
@@ -328,6 +347,12 @@ def _level_front(cfg: SimConfig, x: np.ndarray, fields: Fields) -> Optional[floa
     except FrontTrackingError:
         return None
     return X if X < cfg.L - 10.0 * cfg.dx else None
+
+
+def _changed_bits(old: np.ndarray, now: np.ndarray) -> np.ndarray:
+    """Where ``now`` differs from ``old`` in any bit (signed zeros and NaN
+    payloads included)."""
+    return old.view(np.int64) != now.view(np.int64)
 
 
 def _flux_step(
@@ -389,7 +414,7 @@ def _flux_step(
         else:
             changed = np.zeros(stepped, dtype=bool)
             for old, now in zip(before, cur):
-                changed |= old.view(np.int64) != now.view(np.int64)
+                changed |= _changed_bits(old, now)
             moved = np.flatnonzero(changed)
             if moved.size:
                 lo, hi = max(lo + int(moved[0]) - 1, 0), min(lo + int(moved[-1]) + 2, n)
@@ -415,7 +440,7 @@ def simulate_scalar(model: ScalarModel, cfg: SimConfig) -> SimResult:
     return _march(
         cfg, x, _CFL * dx2 / max(1e-12, D_max), (_initial_profile(cfg, x),),
         _flux_step(model.D_fn, model.f_fn, x.size, dx2),
-        partial(_level_front, cfg, x),
+        partial(_level_front, cfg, x), cfg.dx,
     )
 
 
@@ -439,7 +464,7 @@ def simulate_two_species(model: TwoSpeciesModel, cfg: SimConfig) -> SimResult:
     return _march(
         cfg, x, dt_limit, (_initial_profile(cfg, x), np.full_like(x, nu)),
         _flux_step(model.D_fn, model.f_fn, x.size, dx2, kappa),
-        partial(_level_front, cfg, x),
+        partial(_level_front, cfg, x), cfg.dx,
     )
 
 
@@ -464,9 +489,16 @@ def simulate_fisher_stefan(kappa: float, cfg: SimConfig) -> SimResult:
     left, mid, right = rho[:-2], rho[1:-1], rho[2:]
     rhs = np.empty(mid.size)
     tmp = np.empty(mid.size)
+    sdot, countdown, fixed = 0.0, 0, False
 
     def step(fields: Fields, dt: float) -> Tuple[float, int]:
-        nonlocal s
+        # a step that changed no bit of rho is a fixed point of the float
+        # map: it reads only rho, dt and constants, so every later step
+        # repeats it and only the boundary moves on
+        nonlocal s, sdot, countdown, fixed
+        if fixed:
+            s += dt * sdot
+            return dt / dx2, 0
         sdot = -kappa * (-4.0 * rho[-2] + rho[-3]) / (2.0 * dx)
         # rhs = (right - 2 mid + left) / dx2 + sdot (right - left) / (2 dx)
         #       + mid (1 - mid), in place and in that expression's order
@@ -482,6 +514,11 @@ def simulate_fisher_stefan(kappa: float, cfg: SimConfig) -> SimResult:
         np.multiply(mid, tmp, out=tmp)
         np.add(rhs, tmp, out=rhs)
         np.multiply(dt, rhs, out=rhs)
+        if countdown == 0:
+            np.add(mid, rhs, out=tmp)
+            fixed = not _changed_bits(mid, tmp).any()
+            countdown = _REMEASURE
+        countdown -= 1
         np.add(mid, rhs, out=mid)
         rho[0] = 1.0
         rho[-1] = 0.0

@@ -30,9 +30,10 @@ Proves:
     fitted speed; a run whose profile never crosses the tracking level
     exits 5 without creating the output directory; a T / dt that
     overflows or a grid too fine to allocate exits 2, and times too small
-    to fit a line exit 5, each with one ``error:`` line and nothing on
-    stdout; ``simulate stefan`` rejects the initial-condition and level
-    flags it has no use for.
+    to fit a line or a run too short for its front to move one cell exit
+    5, each with one ``error:`` line and nothing on stdout; ``simulate
+    stefan`` rejects the initial-condition and level flags it has no use
+    for.
  6. ``figure`` sweeps write one CSV per curve with the documented header,
     rerun byte-identically, exit 6 when some points fail (listing each
     failure in the JSON payload, a non-finite grid value included), and
@@ -41,8 +42,9 @@ Proves:
     exit 2 naming the flag, before any output is written.
  7. Figure CSVs agree with the library: the decoupled two-species column
     solves to c = 2, and a small porous-Fisher sweep lands the simulated
-    speed on top of the bound; the ``--no-sim`` CSVs of all five figures
-    match frozen text byte for byte.
+    speed on top of the bound; the ``--no-sim`` CSVs of all five figures,
+    and one figure 3 sweep with simulations, match frozen text byte for
+    byte.
  8. Sweeps run serially on the calling thread, in point order; a failing
     point is listed and the points after it still run.
  9. Importing the package, its CLI and its ODE integrator leaves
@@ -460,11 +462,16 @@ def test_simulate_without_front_exits_5(tmp_path, capsys):
     (["two-species", "--preset", "ecm_b", "--param", "kappa=1e308"], 2, "T / dt"),
     (["scalar", "--preset", "fisher_kpp", "--dx", "1e-300", "--T", "1"], 2, "grid too fine"),
     (["scalar", "--preset", "fisher_kpp", "--T", "1e-300"], 5, "no trackable front"),
-], ids=["dt", "kappa", "dx", "T"])
+    (["scalar", "--preset", "fisher_kpp", "--T", "1e-20"], 5, "less than one cell"),
+    (["scalar", "--preset", "fisher_kpp", "--T", "0.01"], 5, "less than one cell"),
+    (["two-species", "--preset", "ecm_b", "--T", "0.01"], 5, "less than one cell"),
+], ids=["dt", "kappa", "dx", "T", "T_one_step", "T_sub_cell", "two_species_T_sub_cell"])
 def test_simulate_overflowing_input_exits_with_a_code(tmp_path, capfd, argv, want_code, want):
-    # T / dt overflows, L / dx cells cannot be allocated, or the fitted
-    # times are too small for a least-squares line: one error line each,
-    # and nothing (not even a LAPACK message) on stdout
+    # T / dt overflows, L / dx cells cannot be allocated, the fitted times
+    # are too small for a least-squares line, or the run is too short for
+    # its front to move one cell (one step fitted -60230.67 at T = 1e-20,
+    # five steps 11.90 at T = 0.01): one error line each, and nothing (not
+    # even a LAPACK message) on stdout
     code, out, err = _run(capfd, ["simulate", *argv, "--L", "50", "--out", str(tmp_path)])
     assert code == want_code
     assert out == ""
@@ -555,6 +562,21 @@ def test_figure_no_sim_golden(tmp_path, capsys, n, grid, want_code, want):
         assert (tmp_path / name).read_text() == text, name
     written = sorted(p.name for p in tmp_path.iterdir())
     assert written == sorted(list(want) + [f"figure{n}_manifest.json"])
+
+
+def test_figure3_with_simulation_golden(tmp_path, capsys):
+    # frozen before the Stefan step stopped at its float fixed point; both
+    # runs reach it, and the fitted boundary speed keeps every bit
+    code, _, _ = _run(capsys, [
+        "figure", "3", "--kappa-list", "0.5,5",
+        "--sim-L", "40", "--sim-dx", "0.2", "--sim-T", "60", "--out", str(tmp_path),
+    ])
+    assert code == 0
+    assert (tmp_path / "figure3.csv").read_text() == (
+        "kappa,c_lb,c_linear,simulated,fit_residual\n"
+        "0.5,0.2164860013,2,0.2240726231,1.066694638e-13\n"
+        "5,0.781980326,2,0.8200985486,2.157495372e-13\n"
+    )
 
 
 _FIG5_HEADER = "lambda,c_lb,c_linear,epsilon,valid,simulated,fit_residual"

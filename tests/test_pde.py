@@ -34,7 +34,8 @@ Proves:
       residual, step ratio, density range), report the dt and step count
       they used, and step fewer cells than the grid on a degenerate front;
       the in-place moving-boundary step equals the plain expression loop
-      bit for bit (snapshots, boundary track, speed, residual)
+      bit for bit (snapshots, boundary track, speed, residual), also on
+      runs past the float fixed point, where it stops stepping the grid
 """
 
 import math
@@ -412,14 +413,22 @@ def test_active_window_matches_full_grid(simulate, model, ic):
     assert (res.fitted_speed, res.fit_residual) == (speed, resid)
 
 
-@pytest.mark.parametrize("kappa", [0.7, 3.0, 13.2])
-def test_stefan_in_place_step_matches_plain_loop(kappa):
-    cfg = SimConfig(L=40.0, dx=0.2, T=6.0, snapshot_times=(0.0, 3.0, 6.0))
+# T = 60 runs past the float fixed point of rho (after 57-65% of the
+# steps), where the step stops updating the grid and only moves s
+@pytest.mark.parametrize(
+    "kappa, T",
+    [(0.7, 6.0), (3.0, 6.0), (13.2, 6.0), (0.7, 60.0), (3.0, 60.0), (13.2, 60.0)],
+    ids=["0.7", "3.0", "13.2", "0.7-T60", "3.0-T60", "13.2-T60"],
+)
+def test_stefan_in_place_step_matches_plain_loop(kappa, T):
+    cfg = SimConfig(L=40.0, dx=0.2, T=T, snapshot_times=(0.0, T / 2, T))
     res = simulate_fisher_stefan(kappa, cfg)
     dx, dx2 = cfg.dx, cfg.dx * cfg.dx
     n = int(math.ceil(cfg.T / (0.2 * dx2) - 1e-12))
     dt = cfg.T / n
     assert (res.stats["dt"], res.stats["n_steps"]) == (dt, n)
+    if T == 60.0:
+        assert res.stats["cell_updates"] < 0.7 * 199 * n
 
     x = np.linspace(0.0, cfg.L, 201) - cfg.L
     np.testing.assert_array_equal(res.x_grid, x)
