@@ -2,11 +2,7 @@
 
 Two layers live here:
 
-* a generic vectorised adaptive G7/K15 integrator (``quad``), plus a
-  frozen-partition evaluator (``quad_on_mesh``) for objectives that must
-  be *smooth* in an outer parameter -- re-adapting the partition for every
-  parameter value injects noise at the 1e-10 level, which is poison for
-  an outer maximiser chasing 1e-8 brackets;
+* a generic vectorised adaptive G7/K15 integrator, ``quad``;
 
 * ``beta_weighted_integral`` and friends, which compute
 
@@ -25,11 +21,14 @@ Two layers live here:
   when q ~ 1000), so u and 1 - u are formed from q*log(s) with exp/expm1
   and ``g`` must tolerate u == 0.0 exactly.
 
-A ``FrozenBetaMesh`` caches g, log(s) and 1 - u on its GK15 nodes, so
-``beta_weighted_on_mesh`` only forms the weights, for one beta or an array.
-``frozen_beta_meshes`` adapts the meshes of many betas in lockstep, and
-``quad`` and ``adaptive_mesh`` are its one-partition case: one adaptive
-loop, ``_adapt``, serves all three.
+Objectives that must be *smooth* in beta -- an outer maximiser chasing
+1e-8 brackets -- cannot re-adapt the partition at every beta, which
+injects noise at the 1e-10 level.  A ``FrozenBetaMesh`` fixes q and the
+s-partition and caches g, log(s) and 1 - u on its GK15 nodes, so
+``beta_weighted_on_mesh`` only forms the weights, for one beta or an
+array.  ``frozen_beta_meshes`` adapts the meshes of many betas in
+lockstep, and ``quad`` and ``beta_weighted_integral`` are its
+one-partition case: one adaptive loop, ``_adapt``, serves all three.
 """
 
 from __future__ import annotations
@@ -45,8 +44,6 @@ from .errors import DivergentIntegralError, QuadratureError
 
 __all__ = [
     "quad",
-    "quad_on_mesh",
-    "adaptive_mesh",
     "beta_weighted_integral",
     "frozen_beta_mesh",
     "frozen_beta_meshes",
@@ -55,6 +52,8 @@ __all__ = [
 ]
 
 DEFAULT_EPS = 1e-10
+# panels one partition may hold before the tolerance counts as unreachable
+_LIMIT = 4096
 
 # QUADPACK 15-point Kronrod extension of 7-point Gauss, abscissae in (0, 1].
 _XGK = np.array(
@@ -121,7 +120,6 @@ def _adapt(
     parts: Sequence[Tuple[np.ndarray, np.ndarray]],
     epsabs: float,
     epsrel: float,
-    limit: int,
 ) -> List[Tuple[float, float, np.ndarray]]:
     """Refine several partitions in lockstep; for each, its value, error
     estimate and the left ends of its adapted panels.
@@ -161,9 +159,9 @@ def _adapt(
             if err <= tol:
                 done[j] = (total, err, a)
                 continue
-            if len(a) >= limit:
+            if len(a) >= _LIMIT:
                 raise QuadratureError(
-                    f"quadrature did not reach tolerance {tol:.3e} with {limit} "
+                    f"quadrature did not reach tolerance {tol:.3e} with {_LIMIT} "
                     f"panels (error estimate {err:.3e})"
                 )
             # Split the worst panels: the shortest prefix (by decreasing
@@ -171,7 +169,7 @@ def _adapt(
             order = np.argsort(errs)[::-1]
             cum = np.cumsum(errs[order])
             k = int(np.searchsorted(cum, 0.5 * err)) + 1
-            k = min(k, limit - len(a))
+            k = min(k, _LIMIT - len(a))
             idx = order[:k]
             keep = np.ones(len(a), dtype=bool)
             keep[idx] = False
@@ -194,23 +192,11 @@ def _adapt_one(
     brk: np.ndarray,
     epsabs: float,
     epsrel: float,
-    limit: int,
 ) -> Tuple[float, float, np.ndarray]:
     """``_adapt`` on the one partition with breakpoints ``brk``: value,
     error estimate and the adapted panels' left ends."""
-    (result,) = _adapt(lambda *_: f, [(brk[:-1], brk[1:])], epsabs, epsrel, limit)
+    (result,) = _adapt(lambda *_: f, [(brk[:-1], brk[1:])], epsabs, epsrel)
     return result
-
-
-def _breakpoints(a: float, b: float, points: Optional[Sequence[float]]) -> np.ndarray:
-    """a, b and the ``points`` strictly between them, sorted; raises
-    QuadratureError unless a < b (a NaN end included)."""
-    if not b > a:
-        raise QuadratureError(f"empty integration range [{a}, {b}]")
-    brk = [float(a), float(b)]
-    if points is not None:
-        brk.extend(float(p) for p in points if a < p < b)
-    return np.array(sorted(set(brk)))
 
 
 def quad(
@@ -220,49 +206,18 @@ def quad(
     *,
     epsabs: float = DEFAULT_EPS,
     epsrel: float = DEFAULT_EPS,
-    limit: int = 4096,
-    points: Optional[Sequence[float]] = None,
 ) -> Tuple[float, float]:
     """Adaptively integrate a vectorised integrand over [a, b].
 
     ``f`` must map an ndarray of abscissae to an ndarray of values.  Returns
-    (value, error_estimate).  ``points`` seeds the initial partition with
-    known awkward locations.  Raises QuadratureError when the panel budget
-    is exhausted before the tolerance is met.
+    (value, error_estimate).  Raises QuadratureError unless a < b (a NaN
+    end included), or when the panel budget is exhausted before the
+    tolerance is met.
     """
-    value, err, _ = _adapt_one(f, _breakpoints(a, b, points), epsabs, epsrel, limit)
+    if not b > a:
+        raise QuadratureError(f"empty integration range [{a}, {b}]")
+    value, err, _ = _adapt_one(f, np.array([float(a), float(b)]), epsabs, epsrel)
     return value, err
-
-
-def adaptive_mesh(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    *,
-    epsabs: float = DEFAULT_EPS,
-    epsrel: float = DEFAULT_EPS,
-    limit: int = 4096,
-    points: Optional[Sequence[float]] = None,
-) -> np.ndarray:
-    """Run the adaptive pass and return the sorted breakpoints it settled on."""
-    _, _, pa = _adapt_one(f, _breakpoints(a, b, points), epsabs, epsrel, limit)
-    return _sorted_mesh(pa, b)
-
-
-def _sorted_mesh(pa: np.ndarray, b: float) -> np.ndarray:
-    """The breakpoints of an adapted partition: its panel starts sorted, then b."""
-    return np.concatenate((np.sort(pa), [float(b)]))
-
-
-def quad_on_mesh(
-    f: Callable[[np.ndarray], np.ndarray], mesh: np.ndarray
-) -> Tuple[float, float]:
-    """Single G7/K15 sweep over a frozen partition (no adaptation)."""
-    mesh = np.asarray(mesh, dtype=float)
-    if mesh.ndim != 1 or len(mesh) < 2:
-        raise QuadratureError("mesh must contain at least two breakpoints")
-    vals, errs = _eval_panels(f, mesh[:-1], mesh[1:])
-    return float(vals.sum()), float(errs.sum())
 
 
 # ----------------------------------------------------------------------
@@ -314,7 +269,8 @@ def _seed_breakpoints(q: int) -> np.ndarray:
         1e-300, 1e-200, 1e-130, 1e-80, 1e-50, 1e-30, 1e-18, 1e-10,
         1e-6, 1e-3, 0.05, 0.3, 0.7, 0.95, 0.999,
     )
-    brk = _breakpoints(0.0, 1.0, [float(np.exp(np.log(u) / q)) for u in u_marks])
+    marks = (float(np.exp(np.log(u) / q)) for u in u_marks)
+    brk = np.array(sorted({0.0, 1.0, *marks}))
     brk.flags.writeable = False
     return brk
 
@@ -377,23 +333,17 @@ def _probe_divergence(g: Callable[[np.ndarray], np.ndarray], beta: float) -> Non
 def beta_weighted_integral(
     g: Callable[[np.ndarray], np.ndarray],
     beta: float,
-    *,
-    epsabs: float = DEFAULT_EPS,
-    epsrel: float = DEFAULT_EPS,
-    limit: int = 4096,
-    probe: bool = True,
 ) -> float:
     """integral_0^1 g(u) u**(1-beta) (1-u)**beta du, adaptively.
 
     ``g`` must be vectorised and finite at u = 0.0 (it receives exact
-    zeros when the substitution underflows).
+    zeros when the substitution underflows).  A g that may blow up at
+    u = 0 should pass ``_probe_divergence`` first.
     """
     beta = _check_beta(beta)
-    if probe:
-        _probe_divergence(g, beta)
     q = _q_for(beta)
     value, _, _ = _adapt_one(
-        _substituted(g, beta, q), _seed_breakpoints(q), epsabs, epsrel, limit
+        _substituted(g, beta, q), _seed_breakpoints(q), DEFAULT_EPS, DEFAULT_EPS
     )
     return value
 
@@ -404,7 +354,6 @@ def frozen_beta_meshes(
     *,
     epsabs: float = DEFAULT_EPS,
     epsrel: float = DEFAULT_EPS,
-    limit: int = 4096,
 ) -> List[FrozenBetaMesh]:
     """Adapt a partition for the substituted integrand at each beta, then
     freeze them all: one mesh per beta, in order.
@@ -424,8 +373,8 @@ def frozen_beta_meshes(
         )
 
     parts = [(brk[:-1], brk[1:]) for brk in map(_seed_breakpoints, qs)]
-    adapted = _adapt(integrand, parts, epsabs, epsrel, limit)
-    meshes = [_sorted_mesh(pa, 1.0) for _, _, pa in adapted]
+    adapted = _adapt(integrand, parts, epsabs, epsrel)
+    meshes = [np.concatenate((np.sort(pa), [1.0])) for _, _, pa in adapted]
     x, half = _nodes(
         np.concatenate([mesh[:-1] for mesh in meshes]),
         np.concatenate([mesh[1:] for mesh in meshes]),
@@ -453,24 +402,20 @@ def frozen_beta_mesh(
     *,
     epsabs: float = DEFAULT_EPS,
     epsrel: float = DEFAULT_EPS,
-    limit: int = 4096,
 ) -> FrozenBetaMesh:
     """``frozen_beta_meshes`` for one beta."""
-    (mesh,) = frozen_beta_meshes(
-        g, [beta], epsabs=epsabs, epsrel=epsrel, limit=limit
-    )
+    (mesh,) = frozen_beta_meshes(g, [beta], epsabs=epsabs, epsrel=epsrel)
     return mesh
 
 
 def beta_weighted_on_mesh(
-    g: Callable[[np.ndarray], np.ndarray],
-    beta: Union[float, np.ndarray],
-    mesh: FrozenBetaMesh,
+    beta: Union[float, np.ndarray], mesh: FrozenBetaMesh
 ) -> Union[float, np.ndarray]:
-    """The beta-weighted integral on a frozen mesh, from its cached g (the
-    ``g`` it was built from).  A scalar beta repeats the operations of
-    ``_substituted`` and ``_eval_panels``, so it equals ``quad_on_mesh``
-    bit for bit; a 1-D array gives one value per beta in one broadcast."""
+    """The beta-weighted integral on a frozen mesh, from the g cached on
+    its nodes.  A scalar beta repeats the operations of ``_substituted``
+    and ``_eval_panels``, so it equals one ``_eval_panels`` sweep over
+    ``mesh.breakpoints``, summed, bit for bit; a 1-D array gives one
+    value per beta in one broadcast."""
     scalar = np.ndim(beta) == 0
     if scalar:
         b = _check_beta(beta)

@@ -179,20 +179,6 @@ def _build_two_model(args: argparse.Namespace) -> TwoSpeciesModel:
     )
 
 
-def _scalar_model_config(model: ScalarModel) -> Dict[str, object]:
-    return {"D": model.D, "f": model.f, "params": dict(model.params)}
-
-
-def _two_model_config(model: TwoSpeciesModel) -> Dict[str, object]:
-    return {
-        "D": model.D,
-        "f": model.f,
-        "kappa": model.kappa,
-        "nu": model.nu,
-        "params": dict(model.params),
-    }
-
-
 def _manifest_name(args: argparse.Namespace) -> str:
     """bound-scalar_manifest.json, criterion_manifest.json, figure3_manifest.json, ..."""
     if args.command == "figure":
@@ -280,7 +266,7 @@ def _sweep(
 
 def _cmd_bound_scalar(args: argparse.Namespace) -> _Result:
     model = _build_scalar_model(args)
-    return sup_F(model).to_dict(), {"model": _scalar_model_config(model)}, [], EXIT_OK
+    return sup_F(model).to_dict(), {"model": model.describe()}, [], EXIT_OK
 
 
 def _cmd_bound_two(args: argparse.Namespace) -> _Result:
@@ -288,7 +274,7 @@ def _cmd_bound_two(args: argparse.Namespace) -> _Result:
     solve = solve_implicit_speed(model)
     payload = solve.to_dict()
     payload["weak_coupling"] = weak_coupling_report(model, solve).to_dict()
-    return payload, {"model": _two_model_config(model)}, [], EXIT_OK
+    return payload, {"model": model.describe()}, [], EXIT_OK
 
 
 def _cmd_bound_fs(args: argparse.Namespace) -> _Result:
@@ -299,7 +285,7 @@ def _cmd_bound_fs(args: argparse.Namespace) -> _Result:
 def _cmd_criterion(args: argparse.Namespace) -> _Result:
     model = _build_scalar_model(args)
     report = selection_criterion(model)
-    return report.to_dict(), {"model": _scalar_model_config(model)}, [], EXIT_OK
+    return report.to_dict(), {"model": model.describe()}, [], EXIT_OK
 
 
 # ----------------------------------------------------------------------
@@ -337,20 +323,22 @@ def _finish_sim(
         "max_density": result.max_density,
         "stats": result.stats,
     }
-    config = {"model": model_config, "sim": result.config.to_dict()}
+    # the dt the run used, which an automatic-dt config leaves as None
+    sim = {**result.config.to_dict(), "dt": result.stats["dt"]}
+    config = {"model": model_config, "sim": sim}
     return payload, config, [profiles, front], EXIT_OK
 
 
 def _cmd_simulate_scalar(args: argparse.Namespace) -> _Result:
     model = _build_scalar_model(args)
     result = simulate_scalar(model, _sim_config(args))
-    return _finish_sim(result, args, _scalar_model_config(model))
+    return _finish_sim(result, args, model.describe())
 
 
 def _cmd_simulate_two(args: argparse.Namespace) -> _Result:
     model = _build_two_model(args)
     result = simulate_two_species(model, _sim_config(args))
-    return _finish_sim(result, args, _two_model_config(model))
+    return _finish_sim(result, args, model.describe())
 
 
 def _cmd_simulate_stefan(args: argparse.Namespace) -> _Result:

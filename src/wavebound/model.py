@@ -31,6 +31,7 @@ from .errors import ConfigError, ModelError
 from .expr import (
     SCALAR_VARS,
     TWO_SPECIES_VARS,
+    Expr,
     compile_fn,
     params_of,
     parse,
@@ -77,6 +78,27 @@ def _require_finite(params: Mapping[str, float]) -> None:
         )
 
 
+def _compile_pair(
+    D: str, f: str, variables: tuple[str, ...], params: Mapping[str, float]
+) -> tuple[Expr, Callable, Callable]:
+    """Parse D and f in ``variables``, check that ``params`` holds a finite
+    value for every parameter they name, and compile both:
+    (D's syntax tree, D_fn, f_fn)."""
+    _require_finite(params)
+    D_ast = parse(D, variables)
+    f_ast = parse(f, variables)
+    missing = (params_of(D_ast) | params_of(f_ast)) - set(params)
+    if missing:
+        raise ModelError(
+            f"missing parameter values: {', '.join(sorted(missing))}"
+        )
+    return (
+        D_ast,
+        compile_fn(D_ast, variables, params),
+        compile_fn(f_ast, variables, params),
+    )
+
+
 @dataclass(frozen=True)
 class ScalarModel:
     """Single-species model. D and f are expressions in ``u``."""
@@ -87,17 +109,7 @@ class ScalarModel:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "params", dict(self.params))
-        _require_finite(self.params)
-        D_ast = parse(self.D, SCALAR_VARS)
-        f_ast = parse(self.f, SCALAR_VARS)
-        needed = params_of(D_ast) | params_of(f_ast)
-        missing = needed - set(self.params)
-        if missing:
-            raise ModelError(
-                f"missing parameter values: {', '.join(sorted(missing))}"
-            )
-        D_fn = compile_fn(D_ast, SCALAR_VARS, self.params)
-        f_fn = compile_fn(f_ast, SCALAR_VARS, self.params)
+        _, D_fn, f_fn = _compile_pair(self.D, self.f, SCALAR_VARS, self.params)
 
         with np.errstate(all="ignore"):
             try:
@@ -192,17 +204,7 @@ class TwoSpeciesModel:
             raise ModelError(f"kappa must be finite and >= 0, got {self.kappa}")
         if not 0.0 <= self.nu <= 1.0:
             raise ModelError(f"nu must lie in [0, 1], got {self.nu}")
-        _require_finite(self.params)
-        D_ast = parse(self.D, TWO_SPECIES_VARS)
-        f_ast = parse(self.f, TWO_SPECIES_VARS)
-        needed = params_of(D_ast) | params_of(f_ast)
-        missing = needed - set(self.params)
-        if missing:
-            raise ModelError(
-                f"missing parameter values: {', '.join(sorted(missing))}"
-            )
-        D_fn = compile_fn(D_ast, TWO_SPECIES_VARS, self.params)
-        f_fn = compile_fn(f_ast, TWO_SPECIES_VARS, self.params)
+        D_ast, D_fn, f_fn = _compile_pair(self.D, self.f, TWO_SPECIES_VARS, self.params)
 
         u2_line = np.linspace(0.0, self.nu, 21)
         g1, g2 = np.meshgrid(np.linspace(0.0, 1.0, 41), u2_line)

@@ -69,6 +69,9 @@ _CFL = 0.2
 _TARGET_SAMPLES = 240
 _BLOWUP = 10.0
 _REMEASURE = 16  # steps between measurements of the changed-cell hull
+# a run asking for more steps than this is refused rather than left to
+# run for days (at about 15 us a step, 1e8 steps take 25 minutes)
+_MAX_STEPS = 1e8
 
 # the per-species profiles one simulator advances; the first is tracked
 Fields = Tuple[np.ndarray, ...]
@@ -79,7 +82,8 @@ class SimConfig:
     """Domain, grid, and measurement settings for one simulation.
 
     ``dt`` is chosen automatically (one fifth of the explicit diffusive
-    limit) when left as None.  ``ic_kind`` selects the initial condition:
+    limit, capped further by each simulator's own terms) when left as
+    None.  ``ic_kind`` selects the initial condition:
     a sharp step at L/10, the same step smoothed over ``ic_width``, or a
     spatially uniform state at ``ic_value`` (useful for quiescence
     checks; it admits no front, so no speed is fitted).
@@ -267,8 +271,8 @@ def _steps(cfg: SimConfig, dt_limit: float) -> Tuple[float, int]:
     """Time step and count: honour cfg.dt, else take the stability limit,
     then shave dt so the run lands on T exactly."""
     dt = cfg.dt if cfg.dt is not None else dt_limit
-    if not math.isfinite(cfg.T / dt):
-        raise ConfigError(f"T / dt = {cfg.T:g} / {dt:g} overflows: too many steps")
+    if not cfg.T / dt <= _MAX_STEPS:
+        raise ConfigError(f"T / dt = {cfg.T:g} / {dt:g}: more than {_MAX_STEPS:g} steps")
     n_steps = max(1, int(math.ceil(cfg.T / dt - 1e-12)))
     return cfg.T / n_steps, n_steps
 
@@ -474,6 +478,7 @@ def simulate_fisher_stefan(kappa: float, cfg: SimConfig) -> SimResult:
     On y = x - s(t) in [-L, 0]:  rho_t = rho_yy + sdot rho_y + rho(1-rho)
     with rho(-L) = 1, rho(0) = 0, and the boundary driven by
     sdot = -kappa rho_y(0)  (one-sided second-order gradient).  The
+    automatic dt also caps the advection step at 2 / kappa^2.  The
     fitted speed is the long-time slope of s(t); a warning is emitted if
     that slope is still drifting by more than 1% over the last quarter.
     """
@@ -525,7 +530,10 @@ def simulate_fisher_stefan(kappa: float, cfg: SimConfig) -> SimResult:
         s += dt * sdot
         return dt / dx2, mid.size
 
-    res = _march(cfg, x, _CFL * dx2, (rho,), step, lambda fields: s)
+    # forward Euler on the central advection term needs dt sdot^2 <= 2,
+    # and the first sdot is about kappa
+    dt_limit = min(_CFL * dx2, 2.0 / (kappa * kappa))
+    res = _march(cfg, x, dt_limit, (rho,), step, lambda fields: s)
 
     fitted = res.fitted_speed
     late, _ = _fit_front(res.front_series, 0.75 * cfg.T, cfg.T)

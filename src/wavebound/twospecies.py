@@ -47,7 +47,7 @@ from .errors import (
     NonConvergenceError,
 )
 from .model import TwoSpeciesModel
-from .varbound import _beta, _log_gamma
+from .varbound import _BETA_HI, _BETA_LO, _beta, _log_gamma
 
 __all__ = [
     "WaveProfile2",
@@ -313,8 +313,8 @@ def M_of_beta(model: TwoSpeciesModel, beta: float, c: float) -> float:
     """M(beta; c) = integral_0^1 D f u1^(-beta) (1-u1)^beta du1 along u2(u1)."""
     g = _slaved_density(model, solve_u2_profile(model, beta, c))
     # f(0, u2) = 0 is enforced at model construction, so g is bounded at
-    # u1 = 0 and the divergence probe would be redundant work here.
-    return beta_weighted_integral(g, beta, probe=False)
+    # u1 = 0 and needs no divergence probe
+    return beta_weighted_integral(g, beta)
 
 
 def G_of_beta(model: TwoSpeciesModel, beta: float, c: float) -> float:
@@ -398,17 +398,16 @@ def _sup_G(
         b_hi = float(betas[min(i + 1, n - 1)])
         return golden_max(G, b_lo, b_hi, xtol=xtol, mid=float(betas[i]))
 
-    full = (1e-3, 2.0 - 1e-3)
     local = None
     if hint is not None and hint < 2.0:
-        lo = max(full[0], hint - 0.12)
-        hi = min(full[1], hint + 0.12)
+        lo = max(_BETA_LO, hint - 0.12)
+        hi = min(_BETA_HI, hint + 0.12)
         local = interior(lo, hi, 5)
         # a maximiser pinned to the local bracket edge means the hint went
         # stale; fall through to the full scan
         if not lo + 1e-9 < local[0] < hi - 1e-9:
             local = None
-    beta_i, G_i = local or interior(full[0], full[1], 24)
+    beta_i, G_i = local or interior(_BETA_LO, _BETA_HI, 24)
     if G2 >= G_i:
         beta_i, G_i = 2.0, G2
     return beta_i, G_i, len(seen) + 1

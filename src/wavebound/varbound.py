@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import exp, isfinite, lgamma, sqrt
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 
@@ -65,6 +65,9 @@ _GRID_SIZE = 64
 # the front is called pushed; ties within the band are indeterminate.
 _SELECTION_TOL = 1e-7
 
+# The derivative polish bisects F'(beta) = 0 down to a bracket this wide.
+_POLISH_STOP = 1e-9 * 1e-2
+
 
 @dataclass(frozen=True)
 class BoundResult:
@@ -101,13 +104,7 @@ def _beta(a: float, b: float) -> float:
     return exp(_log_gamma(a) + _log_gamma(b) - _log_gamma(a + b))
 
 
-def F_of_beta(
-    model: ScalarModel,
-    beta: float,
-    *,
-    _g: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    _probe: bool = True,
-) -> float:
+def F_of_beta(model: ScalarModel, beta: float) -> float:
     """The bound objective F(beta) = beta N(beta) / B(2-beta, 2+beta);
     0 at beta = 0 and ``F_limit_beta2`` at beta = 2."""
     beta = float(beta)
@@ -117,8 +114,9 @@ def F_of_beta(
         return 0.0
     if beta == 2.0:
         return F_limit_beta2(model)
-    g = _g if _g is not None else model.DR_fn()
-    N = beta_weighted_integral(g, beta, probe=_probe)
+    g = model.DR_fn()
+    _probe_divergence(g, beta)
+    N = beta_weighted_integral(g, beta)
     return beta * N / _beta(2.0 - beta, 2.0 + beta)
 
 
@@ -151,18 +149,16 @@ def _grid_values(
     values = np.empty(_GRID_SIZE)
     for group, mesh in zip(_GRID_GROUPS, meshes):
         betas = _GRID_BETAS[group]
-        N = beta_weighted_on_mesh(g, betas, mesh)
+        N = beta_weighted_on_mesh(betas, mesh)
         values[group] = betas * N / _GRID_B[group]
     return _GRID_BETAS, values
 
 
-def _interior_max(
-    model: ScalarModel,
-    g: Callable[[np.ndarray], np.ndarray],
-    xtol: float,
-) -> Tuple[float, float]:
-    """Maximise F over the open interval: grid scan, Brent's search from
-    the grid argmax, then a derivative root-polish.
+def _interior_max(g: Callable[[np.ndarray], np.ndarray]) -> Tuple[float, float]:
+    """Maximise F over the open interval for the density g = D f / u:
+    grid scan, Brent's search from the grid argmax, then a derivative
+    root-polish.  Returns (beta*, F(beta*)), with F(beta*) computed as
+    ``F_of_beta`` does, on a partition adapted afresh.
 
     Two numerical obstacles shape this routine.  Re-adapting the
     quadrature partition at every beta makes F noisy at the 1e-10 level,
@@ -182,9 +178,7 @@ def _interior_max(
     mesh = frozen_beta_mesh(g, hi, epsabs=1e-13, epsrel=1e-13)
 
     def F_frozen(b: float) -> float:
-        return (
-            b * beta_weighted_on_mesh(g, b, mesh) / _beta(2.0 - b, 2.0 + b)
-        )
+        return b * beta_weighted_on_mesh(b, mesh) / _beta(2.0 - b, 2.0 + b)
 
     beta_star, _ = golden_max(F_frozen, lo, hi, xtol=1e-6, mid=float(betas[i]))
 
@@ -197,7 +191,7 @@ def _interior_max(
             # the four stencil points in one array call, which equals
             # four scalar F_frozen calls bit for bit
             stencil = (b + h, b - h, b + h / 2.0, b - h / 2.0)
-            N = beta_weighted_on_mesh(g, np.array(stencil), mesh).tolist()
+            N = beta_weighted_on_mesh(np.array(stencil), mesh).tolist()
             F_pp, F_mm, F_p, F_m = (
                 x * n / _beta(2.0 - x, 2.0 + x) for x, n in zip(stencil, N)
             )
@@ -207,17 +201,18 @@ def _interior_max(
 
         d_lo, d_hi = dF(p_lo), dF(p_hi)
         if d_lo > 0.0 > d_hi:  # interior max strictly inside; bisect F' = 0
-            while p_hi - p_lo > max(xtol * 1e-2, 1e-12):
+            while p_hi - p_lo > _POLISH_STOP:
                 mid = 0.5 * (p_lo + p_hi)
                 if dF(mid) > 0.0:
                     p_lo = mid
                 else:
                     p_hi = mid
             beta_star = 0.5 * (p_lo + p_hi)
-    return beta_star, F_of_beta(model, beta_star, _g=g, _probe=False)
+    N = beta_weighted_integral(g, beta_star)
+    return beta_star, beta_star * N / _beta(2.0 - beta_star, 2.0 + beta_star)
 
 
-def sup_F(model: ScalarModel, xtol: float = 1e-9) -> BoundResult:
+def sup_F(model: ScalarModel) -> BoundResult:
     """Maximise the bound over the test family, boundary limit included.
 
     The reported bound is c_lb = sqrt(2 F_star) with
@@ -226,16 +221,10 @@ def sup_F(model: ScalarModel, xtol: float = 1e-9) -> BoundResult:
     than 1e-7, "pulled" when the boundary wins by the same margin, and
     "indeterminate" inside the band (with attained_at_boundary = True
     whenever the boundary value is within 1e-9 of the winner).
-
-    ``xtol`` (finite, > 0) stops the final bisection of F'(beta) = 0 once
-    its bracket is narrower than max(xtol / 100, 1e-12), so values below
-    1e-10 change nothing; Brent's search before it stops at 1e-6.
     """
-    if not (isfinite(xtol) and xtol > 0.0):
-        raise ConfigError(f"xtol must be finite and > 0, got {xtol}")
     g = model.DR_fn()
     _probe_divergence(g, _BETA_HI)
-    beta_int, F_int = _interior_max(model, g, xtol)
+    beta_int, F_int = _interior_max(g)
     F_bnd = F_limit_beta2(model)
     if F_int > F_bnd + _SELECTION_TOL:
         selection, attained = "pushed", False

@@ -27,9 +27,12 @@ Proves:
     literal that parses or folds to inf, exits 2 with one ``error:`` line,
     not a traceback or a NaN in the JSON.
  5. ``simulate scalar`` writes profiles.csv and front.csv and reports the
-    fitted speed; a run whose profile never crosses the tracking level
+    fitted speed, and its manifest records the model as ``describe()``
+    gives it and the dt the run used, automatic or not; ``simulate
+    stefan`` at kappa 50 and dx 0.2 runs on its automatic dt with nothing
+    on stderr; a run whose profile never crosses the tracking level
     exits 5 without creating the output directory; a T / dt that
-    overflows or a grid too fine to allocate exits 2, and times too small
+    overflows or exceeds 1e8 steps or a grid too fine to allocate exits 2, and times too small
     to fit a line or a run too short for its front to move one cell exit
     5, each with one ``error:`` line and nothing on stdout; ``simulate
     stefan`` rejects the initial-condition and level flags it has no use
@@ -428,7 +431,25 @@ def test_simulate_scalar_writes_outputs(tmp_path, capsys):
     manifest = _manifest(tmp_path, "simulate-scalar_manifest.json")
     assert manifest["outputs"] == sorted([str(profiles), str(front)])
     assert manifest["resolved_config"]["sim"]["L"] == 80.0
-    assert manifest["resolved_config"]["model"]["f"] == "u*(1 - u)"
+    assert manifest["resolved_config"]["sim"]["dt"] == stats["dt"]
+    assert manifest["resolved_config"]["model"] == {
+        "species": 1, "D": "1", "f": "u*(1 - u)", "params": {},
+    }
+
+
+def test_simulate_stefan_large_kappa_automatic_dt(tmp_path, capsys):
+    # the first sdot is about kappa, so the automatic dt must also bound
+    # the central advection step: dt <= 2 / kappa^2
+    code, out, err = _run(capsys, [
+        "simulate", "stefan", "--kappa", "50", "--L", "40", "--dx", "0.2",
+        "--T", "60", "--out", str(tmp_path),
+    ])
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["stats"]["dt"] <= 2.0 / 50.0**2
+    assert payload["fitted_speed"] == pytest.approx(1.37048, abs=1e-4)
+    manifest = _manifest(tmp_path, "simulate-stefan_manifest.json")
+    assert manifest["resolved_config"]["sim"]["dt"] == payload["stats"]["dt"]
 
 
 @pytest.mark.parametrize("flag", ["--L", "--T", "--dt"])
@@ -460,14 +481,18 @@ def test_simulate_without_front_exits_5(tmp_path, capsys):
 @pytest.mark.parametrize("argv, want_code, want", [
     (["scalar", "--preset", "fisher_kpp", "--dt", "1e-320", "--T", "1"], 2, "T / dt"),
     (["two-species", "--preset", "ecm_b", "--param", "kappa=1e308"], 2, "T / dt"),
+    (["two-species", "--preset", "ecm_b", "--param", "kappa=1e300"], 2, "T / dt"),
+    (["stefan", "--kappa", "1e100"], 2, "T / dt"),
     (["scalar", "--preset", "fisher_kpp", "--dx", "1e-300", "--T", "1"], 2, "grid too fine"),
     (["scalar", "--preset", "fisher_kpp", "--T", "1e-300"], 5, "no trackable front"),
     (["scalar", "--preset", "fisher_kpp", "--T", "1e-20"], 5, "less than one cell"),
     (["scalar", "--preset", "fisher_kpp", "--T", "0.01"], 5, "less than one cell"),
     (["two-species", "--preset", "ecm_b", "--T", "0.01"], 5, "less than one cell"),
-], ids=["dt", "kappa", "dx", "T", "T_one_step", "T_sub_cell", "two_species_T_sub_cell"])
+], ids=["dt", "kappa", "kappa_steps", "stefan_kappa_steps", "dx", "T", "T_one_step",
+        "T_sub_cell", "two_species_T_sub_cell"])
 def test_simulate_overflowing_input_exits_with_a_code(tmp_path, capfd, argv, want_code, want):
-    # T / dt overflows, L / dx cells cannot be allocated, the fitted times
+    # T / dt overflows or asks for more than 1e8 steps (a kappa of 1e300
+    # ran for days), L / dx cells cannot be allocated, the fitted times
     # are too small for a least-squares line, or the run is too short for
     # its front to move one cell (one step fitted -60230.67 at T = 1e-20,
     # five steps 11.90 at T = 0.01): one error line each, and nothing (not

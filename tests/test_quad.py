@@ -3,31 +3,28 @@
 Proves:
   1.  Smooth integrands agree with scipy.integrate.quad to 1e-12
   2.  Integrable endpoint singularity (1/sqrt) handled to 1e-10
-  3.  Interior kinks are resolved when passed as explicit break points
-  4.  A genuinely divergent integrand exhausts the panel budget
+  3.  A genuinely divergent integrand exhausts the panel budget
       (QuadratureError), and non-finite values are rejected
-  5.  beta_weighted_integral reproduces the two-parameter beta function
+  4.  beta_weighted_integral reproduces the two-parameter beta function
       for power-law g across the whole exponent range, including the
       near-degenerate end beta = 1.9999
-  6.  The divergence probe raises DivergentIntegralError exactly when
+  5.  The divergence probe raises DivergentIntegralError exactly when
       the endpoint exponent makes the integral diverge, and stays quiet
       for integrable singular g
-  7.  A mesh frozen at one exponent re-evaluates nearby exponents to
+  6.  A mesh frozen at one exponent re-evaluates nearby exponents to
       1e-9 relative accuracy
-  8.  quad_on_mesh over an adapted partition matches quad
-  9.  beta_weighted_on_mesh, which reads g from the mesh's node cache,
-      equals the uncached quad_on_mesh sweep bit for bit at a scalar
-      beta, and an array of betas equals the scalar calls bit for bit
-      (the derivative polish of sup_F relies on it); a g that is not
-      finite on the mesh raises QuadratureError, and so does a beta
-      outside [0, 2) in the array
-  10. adaptive_mesh refuses an empty, reversed or NaN range with
-      QuadratureError, as quad does, instead of returning a mesh
-  11. frozen_beta_meshes, which adapts many partitions in lockstep, gives
+  7.  beta_weighted_on_mesh, which reads g from the mesh's node cache,
+      equals an uncached _eval_panels sweep of the mesh's breakpoints bit
+      for bit at a scalar beta, and an array of betas equals the scalar
+      calls bit for bit (the derivative polish of sup_F relies on it); a
+      g that is not finite on the mesh raises QuadratureError, and so
+      does a beta outside [0, 2) in the array
+  8.  quad refuses an empty, reversed or NaN range with QuadratureError
+  9.  frozen_beta_meshes, which adapts many partitions in lockstep, gives
       the meshes that the one-partition adaptive loop (kept here as the
       reference) and a one-at-a-time node cache give, bit for bit:
       breakpoints, half-widths, log s, g and 1 - u, on every _MESH_CASES
-      group plus beta = 1.999 (q = 2001), and adaptive_mesh, its
+      group plus beta = 1.999 (q = 2001), and _adapt_one, its
       one-partition case, gives that loop's mesh; a g that is not finite
       inside a lockstep round raises QuadratureError naming the abscissa
 """
@@ -40,18 +37,18 @@ from scipy.integrate import quad as scipy_quad
 from scipy.special import beta as beta_fn
 
 from wavebound._quad import (
+    _adapt_one,
     _eval_panels,
     _nodes,
+    _probe_divergence,
     _q_for,
     _seed_breakpoints,
     _substituted,
-    adaptive_mesh,
     beta_weighted_integral,
     beta_weighted_on_mesh,
     frozen_beta_mesh,
     frozen_beta_meshes,
     quad,
-    quad_on_mesh,
 )
 from wavebound.errors import DivergentIntegralError, QuadratureError
 
@@ -72,13 +69,6 @@ def test_smooth_vs_scipy():
 def test_inverse_sqrt_endpoint():
     got, _ = quad(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, epsabs=1e-12, epsrel=1e-12)
     assert got == pytest.approx(2.0, rel=1e-10)
-
-
-def test_interior_kink_with_points():
-    f = lambda x: np.abs(x - 0.37) ** 0.5
-    exact = (0.37**1.5 + 0.63**1.5) / 1.5
-    got, _ = quad(f, 0.0, 1.0, epsabs=1e-12, epsrel=1e-12, points=(0.37,))
-    assert got == pytest.approx(exact, rel=1e-11)
 
 
 def test_divergent_exhausts_budget():
@@ -103,7 +93,7 @@ def test_non_finite_rejected():
 @pytest.mark.parametrize("a, b", [(1.0, 0.0), (0.0, 0.0), (0.0, math.nan)])
 def test_adaptive_mesh_rejects_empty_range(a, b):
     with pytest.raises(QuadratureError, match="empty integration range"):
-        adaptive_mesh(np.cos, a, b)
+        quad(np.cos, a, b)
 
 
 def test_beta_weighted_matches_beta_function():
@@ -129,10 +119,11 @@ def test_divergence_probe_raises_only_when_divergent():
     inv = lambda u: 1.0 / np.maximum(np.asarray(u, dtype=float), 1e-320)
     # u^-1 weight: total endpoint exponent 1 - b - 1 <= -1 iff b >= 1
     with pytest.raises(DivergentIntegralError):
-        beta_weighted_integral(inv, 1.2)
+        _probe_divergence(inv, 1.2)
     # u^-1/2 at the same exponent stays integrable (exponent -0.7); the
     # clamp only matters below the double-precision underflow floor
     inv_sqrt = lambda u: np.maximum(np.asarray(u, dtype=float), 1e-320) ** -0.5
+    _probe_divergence(inv_sqrt, 1.2)
     want = beta_fn(1.5 - 1.2, 1.0 + 1.2)
     got = beta_weighted_integral(inv_sqrt, 1.2)
     assert got == pytest.approx(want, rel=1e-9)
@@ -146,16 +137,8 @@ def test_frozen_mesh_tracks_nearby_exponents():
     mesh = frozen_beta_mesh(g, center, epsabs=1e-13, epsrel=1e-13)
     for b in (1.32, 1.38, 1.4, 1.43, 1.48):
         fresh = beta_weighted_integral(g, b)
-        onmesh = beta_weighted_on_mesh(g, b, mesh)
+        onmesh = beta_weighted_on_mesh(b, mesh)
         assert onmesh == pytest.approx(fresh, rel=1e-9), b
-
-
-def test_quad_on_mesh_matches_quad():
-    f = lambda x: np.exp(-x) * np.cos(4.0 * x)
-    mesh = adaptive_mesh(f, 0.0, 3.0, epsabs=1e-13, epsrel=1e-13)
-    direct, _ = quad(f, 0.0, 3.0, epsabs=1e-13, epsrel=1e-13)
-    onmesh, _ = quad_on_mesh(f, mesh)
-    assert onmesh == pytest.approx(direct, rel=1e-12)
 
 
 _MESH_CASES = [
@@ -168,9 +151,10 @@ def test_cached_mesh_equals_uncached_sweep_bitwise():
     for g, centers in _MESH_CASES:
         for center in centers:
             mesh = frozen_beta_mesh(g, center)
+            brk = mesh.breakpoints
             for b in (center - 0.02, center - 1e-7, center):
-                want, _ = quad_on_mesh(_substituted(g, b, mesh.q), mesh.breakpoints)
-                assert beta_weighted_on_mesh(g, b, mesh) == want, (center, b)
+                vals, _ = _eval_panels(_substituted(g, b, mesh.q), brk[:-1], brk[1:])
+                assert beta_weighted_on_mesh(b, mesh) == float(vals.sum()), (center, b)
 
 
 def test_array_beta_matches_scalar_calls():
@@ -178,9 +162,9 @@ def test_array_beta_matches_scalar_calls():
         for center in centers:
             mesh = frozen_beta_mesh(g, center)
             betas = np.linspace(max(center - 0.3, 0.0), center, 9)
-            got = beta_weighted_on_mesh(g, betas, mesh)
+            got = beta_weighted_on_mesh(betas, mesh)
             assert got.shape == betas.shape
-            want = [beta_weighted_on_mesh(g, float(b), mesh) for b in betas]
+            want = [beta_weighted_on_mesh(float(b), mesh) for b in betas]
             np.testing.assert_array_equal(got, want)
 
 
@@ -198,7 +182,7 @@ def test_array_beta_outside_range_raises():
     mesh = frozen_beta_mesh(g, 1.0)
     for bad in ([0.5, 2.0], [-0.1, 0.5], [0.5, np.nan]):
         with pytest.raises(QuadratureError, match="beta"):
-            beta_weighted_on_mesh(g, np.array(bad), mesh)
+            beta_weighted_on_mesh(np.array(bad), mesh)
 
 
 def _loop_adapt(f, a, b, epsabs=1e-10, epsrel=1e-10, limit=4096):
@@ -254,7 +238,8 @@ def test_one_partition_mesh_equals_reference_loop():
     f = lambda x: np.exp(-x) * np.cos(4.0 * x)
     brk = np.array([0.0, 3.0])
     want = _loop_adapt(f, brk[:-1], brk[1:], epsabs=1e-13, epsrel=1e-13)
-    got = adaptive_mesh(f, 0.0, 3.0, epsabs=1e-13, epsrel=1e-13)
+    _, _, starts = _adapt_one(f, brk, 1e-13, 1e-13)
+    got = np.concatenate((np.sort(starts), [3.0]))
     assert len(got) > 3
     np.testing.assert_array_equal(got, want)
 

@@ -24,13 +24,13 @@ Proves:
       parameter draws cycling the single-species presets
   8.  The grid scan grouped by substitution exponent: sup_F's beta_star,
       F_star and c_lb are pinned exactly on every scalar preset and custom
-      draws, and the grouped scan picks the same grid point as a per-beta
+      draws, and on every pushed pin F_star is F_of_beta at beta_star bit
+      for bit; the grouped scan picks the same grid point as a per-beta
       adaptive F_of_beta loop over the presets and 50 seeded draws; the
       15 group meshes adapted in lockstep give the grid values of a loop
       that builds each group's mesh on its own, bit for bit
   9.  Argument checks: F_of_beta returns the limit at beta = 2 and raises
-      ConfigError outside [0, 2]; sup_F rejects a non-positive or
-      non-finite xtol
+      ConfigError outside [0, 2]
 """
 
 import math
@@ -358,6 +358,22 @@ def test_sup_F_pinned_exactly(name, params, beta_star, F_star, c_lb):
     assert (res.beta_star, res.F_star, res.c_lb) == (beta_star, F_star, c_lb)
 
 
+_PUSHED_PINS = [(i, pin) for i, pin in enumerate(_SUP_F_PINS) if pin[2] < 2.0]
+
+
+@pytest.mark.parametrize(
+    "name,params",
+    [pin[:2] for _, pin in _PUSHED_PINS],
+    ids=[f"{pin[0]}-{i}" for i, pin in _PUSHED_PINS],
+)
+def test_sup_F_interior_value_is_F_of_beta(name, params):
+    # sup_F forms F* from the density g alone; it must stay the public F
+    model = _scalar_model(name, params)
+    res = sup_F(model)
+    assert res.selection == "pushed"
+    assert res.F_star == F_of_beta(model, res.beta_star)
+
+
 _DRAWS = {
     "porous_fisher": lambda rng: {"m": rng.uniform(1.0, 3.0), "n": rng.uniform(1.0, 3.0)},
     "allee": lambda rng: {"alpha": rng.uniform(0.25, 2.0), "a": rng.uniform(0.0, 0.5)},
@@ -396,7 +412,7 @@ def test_lockstep_grid_equals_per_group_loop():
         want = np.empty_like(betas)
         for q in np.unique(qs):
             group = betas[qs == q]
-            N = beta_weighted_on_mesh(g, group, frozen_beta_mesh(g, group[-1]))
+            N = beta_weighted_on_mesh(group, frozen_beta_mesh(g, group[-1]))
             want[qs == q] = group * N / [_beta(2.0 - b, 2.0 + b) for b in group]
         got_betas, got = _grid_values(g)
         np.testing.assert_array_equal(got_betas, betas)
@@ -415,9 +431,3 @@ def test_F_of_beta_at_two_is_the_limit():
 def test_F_of_beta_outside_range_is_config_error(beta):
     with pytest.raises(ConfigError, match="beta"):
         F_of_beta(make_preset("fisher_kpp"), beta)
-
-
-@pytest.mark.parametrize("xtol", [0.0, -1.0, math.nan, math.inf, -math.inf])
-def test_sup_F_rejects_bad_xtol(xtol):
-    with pytest.raises(ConfigError, match="xtol"):
-        sup_F(make_preset("porous_fisher", {"m": 2.0}), xtol=xtol)
