@@ -12,9 +12,11 @@ Four commands:
 * ``wavebound figure {1..5}`` -- run the parameter sweep behind one of
   the five standard data figures and write one CSV per curve (bound,
   linear, and simulated speeds side by side).  Each figure is one row of
-  the ``_FIGURES`` table, run by ``_run_figure``, which refuses a grid
-  flag the figure does not sweep and ``--sim-L/--sim-dx/--sim-T`` under
-  ``--no-sim`` rather than ignore them.
+  the ``_FIGURES`` table, run by ``_run_figure``.  Before any point runs
+  it refuses a grid flag the figure does not sweep and
+  ``--sim-L/--sim-dx/--sim-T`` under ``--no-sim`` rather than ignore
+  them, and a ``--sim-*`` value that is not finite and > 0.  Rows are
+  written in the order the grid gives them.
 
 Every handler returns ``(payload, resolved_config, outputs, exit_code)``.
 ``main`` alone writes the run manifest (command line, resolved
@@ -29,7 +31,6 @@ failure.  A sweep that finishes with some failed points exits 6.
 
 Sweep points run one after another on the calling thread: the NumPy
 work in a point is too fine-grained to gain from threads under the GIL.
-Output rows are sorted before writing.
 """
 
 from __future__ import annotations
@@ -223,7 +224,7 @@ def _fmt_cell(v: object) -> str:
 def _write_csv(path: str, header: Sequence[str], rows: List[Tuple]) -> None:
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in sorted(rows, key=lambda r: tuple(map(str, r))):
+        for row in rows:
             fh.write(",".join(_fmt_cell(v) for v in row) + "\n")
 
 
@@ -453,8 +454,9 @@ def _flag(attr: str) -> str:
 
 
 def _reject_unhonoured(args: argparse.Namespace, fig: _Figure) -> None:
-    """Refuse a grid flag that is not one of the figure's axes, and any
-    simulation flag given with --no-sim, instead of ignoring it."""
+    """Refuse, instead of ignoring, a grid flag that is not one of the
+    figure's axes and any simulation flag given with --no-sim; refuse a
+    simulation flag that is not finite and > 0."""
     axes = _axes(fig)
     stray = [_flag(a) for a in _GRID_ATTRS if a not in axes and getattr(args, a) is not None]
     if stray:
@@ -466,6 +468,10 @@ def _reject_unhonoured(args: argparse.Namespace, fig: _Figure) -> None:
         unused = [_flag(a) for a in _SIM_ATTRS if getattr(args, a) is not None]
         if unused:
             raise ConfigError(f"{', '.join(unused)} cannot be combined with --no-sim")
+    for attr in _SIM_ATTRS:
+        value = getattr(args, attr)
+        if value is not None and not (math.isfinite(value) and value > 0.0):
+            raise ConfigError(f"{_flag(attr)} must be finite and > 0, got {value}")
 
 
 def _grid(args: argparse.Namespace, attr: Optional[str], default: Tuple) -> Sequence:

@@ -149,22 +149,19 @@ class _Parser:
         return node
 
     def expr(self) -> Expr:
-        node = self.term()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                node = BinOp(text, node, self.term())
-            else:
-                return node
+        return self.left_assoc("+-", self.term)
 
     def term(self) -> Expr:
-        node = self.unary()
+        return self.left_assoc("*/", self.unary)
+
+    def left_assoc(self, ops: str, operand: Callable[[], Expr]) -> Expr:
+        """operand (op operand)* for op in ``ops``, grouped from the left."""
+        node = operand()
         while True:
             kind, text, _ = self.peek()
-            if kind == "op" and text in "*/":
+            if kind == "op" and text in ops:
                 self.advance()
-                node = BinOp(text, node, self.unary())
+                node = BinOp(text, node, operand())
             else:
                 return node
 

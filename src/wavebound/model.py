@@ -21,7 +21,7 @@ to 1e-12) so that downstream numerics can assume well-posed input.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import Callable, Dict, Mapping, Optional, Union
 
@@ -82,16 +82,19 @@ def _compile_pair(
     D: str, f: str, variables: tuple[str, ...], params: Mapping[str, float]
 ) -> tuple[Expr, Callable, Callable]:
     """Parse D and f in ``variables``, check that ``params`` holds a finite
-    value for every parameter they name, and compile both:
+    value for every parameter they name and no other, and compile both:
     (D's syntax tree, D_fn, f_fn)."""
     _require_finite(params)
     D_ast = parse(D, variables)
     f_ast = parse(f, variables)
-    missing = (params_of(D_ast) | params_of(f_ast)) - set(params)
+    named = params_of(D_ast) | params_of(f_ast)
+    missing = named - set(params)
     if missing:
-        raise ModelError(
-            f"missing parameter values: {', '.join(sorted(missing))}"
-        )
+        raise ModelError(f"missing parameter values: {', '.join(sorted(missing))}")
+    unused = set(params) - named
+    if unused:
+        raise ModelError(f"unused parameters (neither D nor f names them): "
+                         f"{', '.join(sorted(unused))}")
     return (
         D_ast,
         compile_fn(D_ast, variables, params),
@@ -154,36 +157,26 @@ class ScalarModel:
     def D0(self) -> float:
         return float(self.D_fn(0.0))
 
-    def growth_rate_fn(self) -> Callable[[np.ndarray], np.ndarray]:
-        """R(u) = f(u)/u as a vectorised callable, patched to f'(0) at u = 0.
+    def DR_fn(self) -> Callable[[np.ndarray], np.ndarray]:
+        """g(u) = D(u) f(u)/u, finite at u = 0 (the bound's density).
 
-        Safe for exact zeros and denormals: below 1e-300 the ratio is
-        replaced by its limit.
+        Safe for exact zeros and denormals: below 1e-300 the ratio f(u)/u
+        is replaced by its limit f'(0).
         """
+        D_fn = self.D_fn
         f_fn = self.f_fn
         fp0 = self.fprime0
 
-        def R(u: np.ndarray) -> np.ndarray:
+        def g(u: np.ndarray) -> np.ndarray:
             u = np.asarray(u, dtype=float)
             tiny = u < 1e-300
             safe = np.where(tiny, 1.0, u)
-            return np.where(tiny, fp0, f_fn(safe) / safe)
-
-        return R
-
-    def DR_fn(self) -> Callable[[np.ndarray], np.ndarray]:
-        """g(u) = D(u) f(u)/u, finite at u = 0 (the bound's density)."""
-        D_fn = self.D_fn
-        R = self.growth_rate_fn()
-
-        def g(u: np.ndarray) -> np.ndarray:
-            u = np.asarray(u, dtype=float)
-            return D_fn(u) * R(u)
+            return D_fn(u) * np.where(tiny, fp0, f_fn(safe) / safe)
 
         return g
 
     def describe(self) -> Dict[str, object]:
-        return {"species": 1, "D": self.D, "f": self.f, "params": dict(self.params)}
+        return {"species": 1, **asdict(self)}
 
 
 @dataclass(frozen=True)
@@ -265,14 +258,7 @@ class TwoSpeciesModel:
         return float(self.D_fn(0.0, self.nu))
 
     def describe(self) -> Dict[str, object]:
-        return {
-            "species": 2,
-            "D": self.D,
-            "f": self.f,
-            "kappa": self.kappa,
-            "nu": self.nu,
-            "params": dict(self.params),
-        }
+        return {"species": 2, **asdict(self)}
 
 
 Model = Union[ScalarModel, TwoSpeciesModel]

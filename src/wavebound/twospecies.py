@@ -31,7 +31,7 @@ below 1e-12 nu, or at its end, and one exponential tail past its last step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import expm1, inf, log, sqrt
 from typing import Callable, Dict, Optional, Tuple
 
@@ -110,16 +110,7 @@ class SpeedSolve:
     stats: Dict[str, int]
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "c": self.c,
-            "iterations": self.iterations,
-            "residual": self.residual,
-            "epsilon": self.epsilon,
-            "converged": self.converged,
-            "beta_star": self.beta_star,
-            "c_linear": self.c_linear,
-            "stats": dict(self.stats),
-        }
+        return asdict(self)
 
 
 def v_star(
@@ -618,7 +609,7 @@ def pontryagin_residual(
     u2_i = profile.u2_at(interior)
     D_i = np.asarray(model.D_fn(interior, u2_i), dtype=float)
     phi_i = _phi(interior, beta)
-    v_i = c * interior * (1.0 - interior) / (beta * D_i)
+    v_i = v_star(model, beta, c, interior, u2_i)
     denom = float(np.max(np.abs(c * D_i * phi_i * v_i * v_i)))
     return numer / denom
 
@@ -632,11 +623,7 @@ class WeakCouplingReport:
     valid: bool
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "epsilon": self.epsilon,
-            "crowding_ratio": self.crowding_ratio,
-            "valid": self.valid,
-        }
+        return asdict(self)
 
 
 def weak_coupling_report(

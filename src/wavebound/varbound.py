@@ -24,7 +24,7 @@ ds/dt = -kappa rho_x.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import exp, isfinite, lgamma, sqrt
 from typing import Callable, Dict, Tuple
 
@@ -81,14 +81,7 @@ class BoundResult:
     attained_at_boundary: bool
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "beta_star": self.beta_star,
-            "F_star": self.F_star,
-            "c_lb": self.c_lb,
-            "c_linear": self.c_linear,
-            "selection": self.selection,
-            "attained_at_boundary": self.attained_at_boundary,
-        }
+        return asdict(self)
 
 
 def _log_gamma(x: float) -> float:
@@ -324,12 +317,7 @@ class CriterionReport:
     c_linear: float
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "classification": self.classification,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "c_linear": self.c_linear,
-        }
+        return asdict(self)
 
 
 def selection_criterion(model: ScalarModel) -> CriterionReport:

@@ -23,7 +23,8 @@ Proves:
     regular file exits 2 with one ``error:`` line and nothing on stdout;
     an unknown flag prints the subcommand's usage line, not the root's;
     ``--preset`` given with ``--D``, ``--f``, ``--kappa`` or ``--nu`` exits 2
-    and points to ``--param``; a ``--param`` given twice exits 2; a NaN or infinite parameter or kappa, or a
+    and points to ``--param``; a ``--param`` given twice, or one that
+    neither ``--D`` nor ``--f`` names, exits 2; a NaN or infinite parameter or kappa, or a
     literal that parses or folds to inf, exits 2 with one ``error:`` line,
     not a traceback or a NaN in the JSON.
  5. ``simulate scalar`` writes profiles.csv and front.csv and reports the
@@ -40,9 +41,12 @@ Proves:
  6. ``figure`` sweeps write one CSV per curve with the documented header,
     rerun byte-identically, exit 6 when some points fail (listing each
     failure in the JSON payload, a non-finite grid value included), and
-    exit 0 otherwise; a grid that holds no number, a grid flag the figure
-    does not sweep, and a simulation flag given with ``--no-sim`` each
-    exit 2 naming the flag, before any output is written.
+    exit 0 otherwise; rows are written in the order of the grid flag; a
+    grid that holds no number, a grid flag the figure does not sweep, a
+    simulation flag given with ``--no-sim`` and a simulation flag that is
+    not finite and > 0 each exit 2 naming the flag, before any point runs
+    or any output is written; every grid flag a figure axis names is a
+    ``figure`` parser flag.
  7. Figure CSVs agree with the library: the decoupled two-species column
     solves to c = 2, and a small porous-Fisher sweep lands the simulated
     speed on top of the bound; the ``--no-sim`` CSVs of all five figures,
@@ -239,6 +243,18 @@ def test_non_finite_literal_exit_2(tmp_path, capsys, D, f):
     assert code == 2
     assert out == ""
     assert err.startswith("error: constant inf is not finite") and err.count("\n") == 1
+
+
+def test_unused_param_exit_2(tmp_path, capsys):
+    out_dir = tmp_path / "o"
+    code, out, err = _run(capsys, [
+        "bound", "scalar", "--D", "u", "--f", "u*(1-u)", "--param", "x=1",
+        "--out", str(out_dir),
+    ])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: unused parameters") and err.endswith(": x\n")
+    assert not out_dir.exists()
 
 
 def test_param_not_a_number_exit_2(tmp_path, capsys):
@@ -707,6 +723,12 @@ def test_figure_empty_grid_exit_2(tmp_path, capsys, grid):
         # a simulation flag that --no-sim leaves unused
         (["figure", "1", "--no-sim", "--m-list", "1", "--n-list", "1",
           "--sim-T", "5"], "--sim-T"),
+        # a simulation flag that is not finite and > 0, caught before any
+        # point computes its bound
+        (["figure", "3", "--kappa-list", "1", "--sim-dx", "-1"], "--sim-dx"),
+        (["figure", "3", "--kappa-list", "1", "--sim-dx", "0"], "--sim-dx"),
+        (["figure", "3", "--kappa-list", "1", "--sim-T", "nan"], "--sim-T"),
+        (["figure", "3", "--kappa-list", "1", "--sim-L", "inf"], "--sim-L"),
     ],
 )
 def test_figure_unhonoured_flag_exit_2(tmp_path, capsys, argv, flag):
@@ -717,6 +739,24 @@ def test_figure_unhonoured_flag_exit_2(tmp_path, capsys, argv, flag):
     assert err.startswith("error:") and err.count("\n") == 1
     assert flag in err
     assert not out_dir.exists()
+
+
+def test_figure_rows_in_grid_order(tmp_path, capsys):
+    code, _, _ = _run(capsys, [
+        "figure", "3", "--no-sim", "--kappa-list", "2.5,10", "--out", str(tmp_path),
+    ])
+    assert code == 0
+    _, rows = _read_csv(tmp_path / "figure3.csv")
+    assert [row[0] for row in rows] == ["2.5", "10"]
+
+
+def test_figure_grid_attrs_are_parser_flags():
+    # a figure axis without its flag would leave _reject_unhonoured an
+    # AttributeError, and the CLI a traceback
+    assert cli._GRID_ATTRS
+    for attr in cli._GRID_ATTRS:
+        args = cli.build_parser().parse_args(["figure", "1", cli._flag(attr), "7"])
+        assert getattr(args, attr) == "7", attr
 
 
 def test_repeated_param_exit_2(tmp_path, capsys):

@@ -7,15 +7,16 @@ Proves:
       and unknown presets/parameters are rejected with the available names
   2.  ScalarModel validation: reaction must vanish at both ends, D and f
       must be finite on [0, 1], D must be non-negative, every
-      parameter used by an expression must be supplied, and no
-      parameter value may be NaN or infinite
+      parameter used by an expression must be supplied, every parameter
+      supplied must be used by one (a model file's ``param.<name>`` too),
+      and no parameter value may be NaN or infinite
   3.  TwoSpeciesModel validation: f(0, u2) = 0 on the far-field range,
       f(1, 0) = 0, kappa finite and >= 0, nu in [0, 1], finite parameters
   4.  Derived quantities: fprime0 and dfdu1_at_front match hand
       derivatives, D0/D_at_front evaluate the diffusivity, and D_vars
       reports the variables the (parameter-bound) diffusivity uses
-  5.  growth_rate_fn and DR_fn are finite at exact u = 0 and equal
-      f(u)/u beyond it
+  5.  DR_fn is finite at exact and denormal u = 0, patched there to
+      D(0) f'(0), and equals D(u) f(u)/u beyond it
   6.  Model files round-trip through dump/load, and malformed files
       raise ConfigError with the offending path/line
 """
@@ -174,6 +175,15 @@ def test_non_finite_parameter_is_model_error(value):
         make_preset("porous_fisher", {"m": abs(value)})
 
 
+def test_unused_parameter_is_model_error():
+    with pytest.raises(ModelError, match="unused parameters .*: x$"):
+        ScalarModel("u", "u*(1 - u)", params={"x": 1.0})
+    with pytest.raises(ModelError, match="unused parameters .*: lam, z$"):
+        TwoSpeciesModel(
+            "1", "u1*(1 - u1)", kappa=1.0, nu=0.5, params={"z": 0.0, "lam": 0.5}
+        )
+
+
 def test_two_species_validation():
     ok = dict(kappa=1.0, nu=0.5)
     with pytest.raises(ModelError, match="kappa"):
@@ -213,9 +223,9 @@ def test_d_vars_after_parameter_binding():
 
 def test_growth_rate_patched_at_zero():
     m = make_preset("fisher_kpp")
-    R = m.growth_rate_fn()
+    g = m.DR_fn()  # fisher_kpp has D = 1, so g is the growth rate f(u)/u
     u = np.array([0.0, 1e-310, 0.25, 0.5, 1.0])
-    out = R(u)
+    out = g(u)
     assert np.all(np.isfinite(out))
     assert out[0] == pytest.approx(1.0, rel=1e-9)  # f'(0)
     assert out[2] == pytest.approx(0.75)
@@ -257,6 +267,13 @@ def test_model_file_comments_and_blanks(tmp_path):
     )
     m = load_model_file(str(path))
     assert m.D.strip() == "1"
+
+
+def test_model_file_unused_parameter(tmp_path):
+    path = tmp_path / "unused.model"
+    path.write_text("D = u\nf = u*(1 - u)\nparam.x = 1\n")
+    with pytest.raises(ModelError, match="unused parameters .*: x$"):
+        load_model_file(str(path))
 
 
 @pytest.mark.parametrize(

@@ -513,7 +513,7 @@ def test_bisection_fallback_reports_the_root(lam, kappa):
 def test_speed_solve_to_dict():
     res = solve_implicit_speed(crowding_model(0.2, 0.4))
     d = res.to_dict()
-    assert set(d) == {
+    assert list(d) == [
         "c",
         "iterations",
         "residual",
@@ -522,7 +522,7 @@ def test_speed_solve_to_dict():
         "beta_star",
         "c_linear",
         "stats",
-    }
+    ]
     assert set(d["stats"]) == {"G_evals", "sup_G_calls"}
 
 
@@ -614,7 +614,7 @@ def test_weak_coupling_report():
     assert rep.epsilon == res.epsilon
     assert rep.crowding_ratio == pytest.approx(0.5 * 0.5 / res.c, rel=1e-14)
     assert rep.valid == (rep.epsilon < 1.0 and rep.crowding_ratio < 1.0)
-    assert set(rep.to_dict()) == {"epsilon", "crowding_ratio", "valid"}
+    assert list(rep.to_dict()) == ["epsilon", "crowding_ratio", "valid"]
 
     decoupled = make_preset("ecm_c", {"kappa": 0.0, "nu": 0.5})
     rep0 = weak_coupling_report(decoupled, solve_implicit_speed(decoupled))

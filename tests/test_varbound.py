@@ -194,14 +194,14 @@ def test_linear_speed_values():
 
 def test_bound_result_to_dict():
     d = sup_F(make_preset("fisher_kpp")).to_dict()
-    assert set(d) == {
+    assert list(d) == [
         "beta_star",
         "F_star",
         "c_lb",
         "c_linear",
         "selection",
         "attained_at_boundary",
-    }
+    ]
 
 
 # -- 4. pushed/pulled criterion -----------------------------------------
