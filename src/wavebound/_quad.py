@@ -118,11 +118,11 @@ def _eval_panels(
 def _adapt(
     integrand: Callable[[List[int], List[int]], Callable[[np.ndarray], np.ndarray]],
     parts: Sequence[Tuple[np.ndarray, np.ndarray]],
-    epsabs: float,
-    epsrel: float,
+    eps: float,
 ) -> List[Tuple[float, float, np.ndarray]]:
     """Refine several partitions in lockstep; for each, its value, error
-    estimate and the left ends of its adapted panels.
+    estimate and the left ends of its adapted panels.  A partition is done
+    once its error estimate is within ``eps`` absolute or relative.
 
     Partition j starts as the panels [a_i, b_i] of ``parts[j]``.  Each
     round evaluates the new panels of every unfinished partition with one
@@ -155,7 +155,7 @@ def _adapt(
                 errs = np.concatenate((kerrs, errs))
             total = float(vals.sum())
             err = float(errs.sum())
-            tol = max(epsabs, epsrel * abs(total))
+            tol = max(eps, eps * abs(total))
             if err <= tol:
                 done[j] = (total, err, a)
                 continue
@@ -190,12 +190,11 @@ def _concat(arrays: List[np.ndarray]) -> np.ndarray:
 def _adapt_one(
     f: Callable[[np.ndarray], np.ndarray],
     brk: np.ndarray,
-    epsabs: float,
-    epsrel: float,
+    eps: float,
 ) -> Tuple[float, float, np.ndarray]:
     """``_adapt`` on the one partition with breakpoints ``brk``: value,
     error estimate and the adapted panels' left ends."""
-    (result,) = _adapt(lambda *_: f, [(brk[:-1], brk[1:])], epsabs, epsrel)
+    (result,) = _adapt(lambda *_: f, [(brk[:-1], brk[1:])], eps)
     return result
 
 
@@ -204,8 +203,7 @@ def quad(
     a: float,
     b: float,
     *,
-    epsabs: float = DEFAULT_EPS,
-    epsrel: float = DEFAULT_EPS,
+    eps: float = DEFAULT_EPS,
 ) -> Tuple[float, float]:
     """Adaptively integrate a vectorised integrand over [a, b].
 
@@ -216,7 +214,7 @@ def quad(
     """
     if not b > a:
         raise QuadratureError(f"empty integration range [{a}, {b}]")
-    value, err, _ = _adapt_one(f, np.array([float(a), float(b)]), epsabs, epsrel)
+    value, err, _ = _adapt_one(f, np.array([float(a), float(b)]), eps)
     return value, err
 
 
@@ -342,9 +340,7 @@ def beta_weighted_integral(
     """
     beta = _check_beta(beta)
     q = _q_for(beta)
-    value, _, _ = _adapt_one(
-        _substituted(g, beta, q), _seed_breakpoints(q), DEFAULT_EPS, DEFAULT_EPS
-    )
+    value, _, _ = _adapt_one(_substituted(g, beta, q), _seed_breakpoints(q), DEFAULT_EPS)
     return value
 
 
@@ -352,8 +348,7 @@ def frozen_beta_meshes(
     g: Callable[[np.ndarray], np.ndarray],
     betas: Sequence[float],
     *,
-    epsabs: float = DEFAULT_EPS,
-    epsrel: float = DEFAULT_EPS,
+    eps: float = DEFAULT_EPS,
 ) -> List[FrozenBetaMesh]:
     """Adapt a partition for the substituted integrand at each beta, then
     freeze them all: one mesh per beta, in order.
@@ -373,7 +368,7 @@ def frozen_beta_meshes(
         )
 
     parts = [(brk[:-1], brk[1:]) for brk in map(_seed_breakpoints, qs)]
-    adapted = _adapt(integrand, parts, epsabs, epsrel)
+    adapted = _adapt(integrand, parts, eps)
     meshes = [np.concatenate((np.sort(pa), [1.0])) for _, _, pa in adapted]
     x, half = _nodes(
         np.concatenate([mesh[:-1] for mesh in meshes]),
@@ -400,11 +395,10 @@ def frozen_beta_mesh(
     g: Callable[[np.ndarray], np.ndarray],
     beta: float,
     *,
-    epsabs: float = DEFAULT_EPS,
-    epsrel: float = DEFAULT_EPS,
+    eps: float = DEFAULT_EPS,
 ) -> FrozenBetaMesh:
     """``frozen_beta_meshes`` for one beta."""
-    (mesh,) = frozen_beta_meshes(g, [beta], epsabs=epsabs, epsrel=epsrel)
+    (mesh,) = frozen_beta_meshes(g, [beta], eps=eps)
     return mesh
 
 

@@ -61,8 +61,16 @@ from .errors import (
     StepFailureError,
     WaveboundError,
 )
-from .model import ScalarModel, TwoSpeciesModel, make_preset
+from .model import (
+    _SCALAR_PRESETS,
+    _TWO_PRESETS,
+    Model,
+    ScalarModel,
+    TwoSpeciesModel,
+    make_preset,
+)
 from .pde import (
+    _IC_FIELDS,
     SimConfig,
     SimResult,
     simulate_fisher_stefan,
@@ -94,13 +102,6 @@ _EXIT_CODES: Dict[type, int] = {
     FrontTrackingError: EXIT_FRONT,
 }
 
-_SCALAR_PRESETS = ("fisher_kpp", "porous_fisher", "allee", "linear_shift")
-_TWO_PRESETS = ("ecm_c", "ecm_b", "landman")
-
-# SimConfig fields set by --ic/--ic-width/--ic-value/--level; the stefan
-# simulator has no use for them, so its parser does not offer them.
-_IC_FIELDS = ("ic_kind", "ic_width", "ic_value", "level")
-
 # (JSON payload, resolved config, output paths, exit code)
 _Result = Tuple[Dict[str, object], Dict[str, object], List[str], int]
 
@@ -125,20 +126,19 @@ def _parse_params(pairs: Sequence[str]) -> Dict[str, float]:
     return out
 
 
-def _add_scalar_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--preset", choices=_SCALAR_PRESETS)
-    p.add_argument("--D", help="diffusivity expression in u")
-    p.add_argument("--f", help="reaction expression in u")
+def _add_model_flags(p: argparse.ArgumentParser, two_species: bool) -> None:
+    """--preset (of this flavour only), --D/--f, --kappa/--nu for two
+    species, and --param; ``_build_model`` reads them."""
+    variables = "u1, u2" if two_species else "u"
+    presets = _TWO_PRESETS if two_species else _SCALAR_PRESETS
+    p.add_argument("--preset", choices=tuple(presets))
+    p.add_argument("--D", help=f"diffusivity expression in {variables}")
+    p.add_argument("--f", help=f"reaction expression in {variables}")
+    if two_species:
+        p.add_argument("--kappa", type=float, help="degradation rate (with --D/--f)")
+        p.add_argument("--nu", type=float, help="far-field substance level (with --D/--f)")
     p.add_argument("--param", action="append", default=[], metavar="NAME=VALUE")
-
-
-def _add_two_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--preset", choices=_TWO_PRESETS)
-    p.add_argument("--D", help="diffusivity expression in u1, u2")
-    p.add_argument("--f", help="reaction expression in u1, u2")
-    p.add_argument("--kappa", type=float, help="degradation rate (with --D/--f)")
-    p.add_argument("--nu", type=float, help="far-field substance level (with --D/--f)")
-    p.add_argument("--param", action="append", default=[], metavar="NAME=VALUE")
+    p.set_defaults(two_species=two_species)
 
 
 def _reject_with_preset(args: argparse.Namespace, flags: Sequence[str]) -> None:
@@ -150,34 +150,20 @@ def _reject_with_preset(args: argparse.Namespace, flags: Sequence[str]) -> None:
         )
 
 
-def _build_scalar_model(args: argparse.Namespace) -> ScalarModel:
+def _build_model(args: argparse.Namespace) -> Model:
+    """The model named by ``_add_model_flags``'s flags.  argparse offers
+    only presets of the subcommand's own flavour."""
     params = _parse_params(args.param)
-    _reject_with_preset(args, ("D", "f"))
+    _reject_with_preset(args, ("D", "f", "kappa", "nu") if args.two_species else ("D", "f"))
     if args.preset:
-        model = make_preset(args.preset, params)
-        if not isinstance(model, ScalarModel):
-            raise ConfigError(f"{args.preset} is not a single-species preset")
-        return model
+        return make_preset(args.preset, params)
     if args.D is None or args.f is None:
         raise ConfigError("provide --preset, or both --D and --f")
-    return ScalarModel(args.D, args.f, params=params)
-
-
-def _build_two_model(args: argparse.Namespace) -> TwoSpeciesModel:
-    params = _parse_params(args.param)
-    _reject_with_preset(args, ("D", "f", "kappa", "nu"))
-    if args.preset:
-        model = make_preset(args.preset, params)
-        if not isinstance(model, TwoSpeciesModel):
-            raise ConfigError(f"{args.preset} is not a two-species preset")
-        return model
-    if args.D is None or args.f is None:
-        raise ConfigError("provide --preset, or both --D and --f")
+    if not args.two_species:
+        return ScalarModel(args.D, args.f, params=params)
     if args.kappa is None or args.nu is None:
         raise ConfigError("--D/--f models need --kappa and --nu")
-    return TwoSpeciesModel(
-        args.D, args.f, kappa=args.kappa, nu=args.nu, params=params
-    )
+    return TwoSpeciesModel(args.D, args.f, kappa=args.kappa, nu=args.nu, params=params)
 
 
 def _manifest_name(args: argparse.Namespace) -> str:
@@ -266,12 +252,12 @@ def _sweep(
 
 
 def _cmd_bound_scalar(args: argparse.Namespace) -> _Result:
-    model = _build_scalar_model(args)
+    model = _build_model(args)
     return sup_F(model).to_dict(), {"model": model.describe()}, [], EXIT_OK
 
 
 def _cmd_bound_two(args: argparse.Namespace) -> _Result:
-    model = _build_two_model(args)
+    model = _build_model(args)
     solve = solve_implicit_speed(model)
     payload = solve.to_dict()
     payload["weak_coupling"] = weak_coupling_report(model, solve).to_dict()
@@ -284,7 +270,7 @@ def _cmd_bound_fs(args: argparse.Namespace) -> _Result:
 
 
 def _cmd_criterion(args: argparse.Namespace) -> _Result:
-    model = _build_scalar_model(args)
+    model = _build_model(args)
     report = selection_criterion(model)
     return report.to_dict(), {"model": model.describe()}, [], EXIT_OK
 
@@ -296,7 +282,15 @@ def _cmd_criterion(args: argparse.Namespace) -> _Result:
 
 def _sim_config(args: argparse.Namespace) -> SimConfig:
     snaps = tuple(args.snapshot) if args.snapshot else (args.T / 2.0, args.T)
-    ic = {k: getattr(args, k) for k in _IC_FIELDS if hasattr(args, k)}
+    # the stefan parser offers no IC flags, and --ic-width/--ic-value are
+    # None unless given: refuse them for an initial condition that never
+    # reads them, and pass SimConfig only the values given
+    for attr, kind in (("ic_width", "smoothed_step"), ("ic_value", "uniform")):
+        if getattr(args, attr, None) is not None and args.ic_kind != kind:
+            raise ConfigError(
+                f"{_flag(attr)} is used only with --ic {kind}, got --ic {args.ic_kind}"
+            )
+    ic = {k: getattr(args, k) for k in _IC_FIELDS if getattr(args, k, None) is not None}
     return SimConfig(
         L=args.L, dx=args.dx, T=args.T, dt=args.dt, snapshot_times=snaps, **ic
     )
@@ -330,15 +324,10 @@ def _finish_sim(
     return payload, config, [profiles, front], EXIT_OK
 
 
-def _cmd_simulate_scalar(args: argparse.Namespace) -> _Result:
-    model = _build_scalar_model(args)
-    result = simulate_scalar(model, _sim_config(args))
-    return _finish_sim(result, args, model.describe())
-
-
-def _cmd_simulate_two(args: argparse.Namespace) -> _Result:
-    model = _build_two_model(args)
-    result = simulate_two_species(model, _sim_config(args))
+def _cmd_simulate_model(args: argparse.Namespace) -> _Result:
+    model = _build_model(args)
+    simulate = simulate_two_species if args.two_species else simulate_scalar
+    result = simulate(model, _sim_config(args))
     return _finish_sim(result, args, model.describe())
 
 
@@ -537,8 +526,8 @@ def _add_ic_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--level", type=float, default=0.1)
     p.add_argument("--ic", choices=("step", "smoothed_step", "uniform"),
                    default="step", dest="ic_kind")
-    p.add_argument("--ic-width", type=float, default=1.0, dest="ic_width")
-    p.add_argument("--ic-value", type=float, default=0.5, dest="ic_value")
+    p.add_argument("--ic-width", type=float, default=None, dest="ic_width")
+    p.add_argument("--ic-value", type=float, default=None, dest="ic_value")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -568,11 +557,11 @@ def build_parser() -> argparse.ArgumentParser:
     bound = top.add_parser("bound", help="compute speed bounds")
     bsub = bound.add_subparsers(dest="target", required=True)
     b_scalar = bsub.add_parser("scalar", help="single-species variational bound")
-    _add_scalar_model_flags(b_scalar)
+    _add_model_flags(b_scalar, two_species=False)
     b_scalar.add_argument("--out", default=".")
     b_scalar.set_defaults(handler=_cmd_bound_scalar)
     b_two = bsub.add_parser("two-species", help="coupled self-consistent speed")
-    _add_two_model_flags(b_two)
+    _add_model_flags(b_two, two_species=True)
     b_two.add_argument("--out", default=".")
     b_two.set_defaults(handler=_cmd_bound_two)
     b_fs = bsub.add_parser("fisher-stefan", help="moving-boundary bound")
@@ -581,24 +570,24 @@ def build_parser() -> argparse.ArgumentParser:
     b_fs.set_defaults(handler=_cmd_bound_fs)
 
     crit = top.add_parser("criterion", help="pushed/pulled classification")
-    _add_scalar_model_flags(crit)
+    _add_model_flags(crit, two_species=False)
     crit.add_argument("--out", default=".")
     crit.set_defaults(handler=_cmd_criterion)
 
     sim = top.add_parser("simulate", help="finite-difference runs")
     ssub = sim.add_subparsers(dest="target", required=True)
     s_scalar = ssub.add_parser("scalar")
-    _add_scalar_model_flags(s_scalar)
+    _add_model_flags(s_scalar, two_species=False)
     _add_sim_flags(s_scalar, L=400.0, dx=0.1, T=150.0)
     _add_ic_flags(s_scalar)
     s_scalar.add_argument("--out", default=".")
-    s_scalar.set_defaults(handler=_cmd_simulate_scalar)
+    s_scalar.set_defaults(handler=_cmd_simulate_model)
     s_two = ssub.add_parser("two-species")
-    _add_two_model_flags(s_two)
+    _add_model_flags(s_two, two_species=True)
     _add_sim_flags(s_two, L=360.0, dx=0.1, T=150.0)
     _add_ic_flags(s_two)
     s_two.add_argument("--out", default=".")
-    s_two.set_defaults(handler=_cmd_simulate_two)
+    s_two.set_defaults(handler=_cmd_simulate_model)
     s_fs = ssub.add_parser("stefan")
     s_fs.add_argument("--kappa", type=float, required=True)
     _add_sim_flags(s_fs, L=60.0, dx=0.1, T=150.0)

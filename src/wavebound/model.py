@@ -102,6 +102,19 @@ def _compile_pair(
     )
 
 
+def _evaluate(domain: str, *calls: tuple) -> list:
+    """Each ``(fn, *args)`` call as a float array, with floating-point
+    warnings off.  A call that raises ``ArithmeticError`` (a Python-float
+    call such as u^-1 at u = 0 divides by zero) fails on ``domain``."""
+    with np.errstate(all="ignore"):
+        try:
+            return [np.asarray(fn(*args), dtype=float) for fn, *args in calls]
+        except ArithmeticError as exc:
+            raise ModelError(
+                f"model expressions fail to evaluate on {domain}: {exc}"
+            ) from None
+
+
 @dataclass(frozen=True)
 class ScalarModel:
     """Single-species model. D and f are expressions in ``u``."""
@@ -114,16 +127,9 @@ class ScalarModel:
         object.__setattr__(self, "params", dict(self.params))
         _, D_fn, f_fn = _compile_pair(self.D, self.f, SCALAR_VARS, self.params)
 
-        with np.errstate(all="ignore"):
-            try:
-                f0 = float(f_fn(0.0))
-                f1 = float(f_fn(1.0))
-                D_vals = np.asarray(D_fn(_VAL_GRID), dtype=float)
-                f_vals = np.asarray(f_fn(_VAL_GRID), dtype=float)
-            except ArithmeticError as exc:
-                raise ModelError(
-                    f"model expressions fail to evaluate on [0, 1]: {exc}"
-                ) from None
+        f0, f1, D_vals, f_vals = _evaluate(
+            "[0, 1]", (f_fn, 0.0), (f_fn, 1.0), (D_fn, _VAL_GRID), (f_fn, _VAL_GRID)
+        )
         if abs(f0) > _ZTOL:
             raise ModelError(f"f(0) = {f0:.3e}; the reaction must vanish at u = 0")
         if abs(f1) > _ZTOL:
@@ -136,16 +142,8 @@ class ScalarModel:
         if not np.all(np.isfinite(f_vals)):
             raise ModelError("f(u) is not finite everywhere on [0, 1]")
 
-        object.__setattr__(self, "_D_fn", D_fn)
-        object.__setattr__(self, "_f_fn", f_fn)
-
-    @property
-    def D_fn(self) -> Callable[[np.ndarray], np.ndarray]:
-        return self._D_fn  # type: ignore[attr-defined]
-
-    @property
-    def f_fn(self) -> Callable[[np.ndarray], np.ndarray]:
-        return self._f_fn  # type: ignore[attr-defined]
+        object.__setattr__(self, "D_fn", D_fn)
+        object.__setattr__(self, "f_fn", f_fn)
 
     @cached_property
     def fprime0(self) -> float:
@@ -200,20 +198,14 @@ class TwoSpeciesModel:
         D_ast, D_fn, f_fn = _compile_pair(self.D, self.f, TWO_SPECIES_VARS, self.params)
 
         u2_line = np.linspace(0.0, self.nu, 21)
-        g1, g2 = np.meshgrid(np.linspace(0.0, 1.0, 41), u2_line)
-        with np.errstate(all="ignore"):
-            try:
-                f_at_0 = np.broadcast_to(
-                    np.asarray(f_fn(np.zeros_like(u2_line), u2_line), dtype=float),
-                    u2_line.shape,
-                )
-                f_10 = float(f_fn(1.0, 0.0))
-                D_vals = np.asarray(D_fn(g1.ravel(), g2.ravel()), dtype=float)
-                f_vals = np.asarray(f_fn(g1.ravel(), g2.ravel()), dtype=float)
-            except ArithmeticError as exc:
-                raise ModelError(
-                    f"model expressions fail to evaluate on [0, 1] x [0, nu]: {exc}"
-                ) from None
+        g1, g2 = (g.ravel() for g in np.meshgrid(np.linspace(0.0, 1.0, 41), u2_line))
+        f_at_0, f_10, D_vals, f_vals = _evaluate(
+            "[0, 1] x [0, nu]",
+            (f_fn, np.zeros_like(u2_line), u2_line),
+            (f_fn, 1.0, 0.0),
+            (D_fn, g1, g2),
+            (f_fn, g1, g2),
+        )
         if float(np.max(np.abs(f_at_0))) > _ZTOL:
             raise ModelError("f(0, u2) must vanish for all u2 in [0, nu]")
         if abs(f_10) > _ZTOL:
@@ -225,26 +217,12 @@ class TwoSpeciesModel:
         if not np.all(np.isfinite(f_vals)):
             raise ModelError("f(u1, u2) is not finite on [0, 1] x [0, nu]")
 
-        object.__setattr__(self, "_D_fn", D_fn)
-        object.__setattr__(self, "_f_fn", f_fn)
+        object.__setattr__(self, "D_fn", D_fn)
+        object.__setattr__(self, "f_fn", f_fn)
+        # the variable names the diffusivity actually depends on
         object.__setattr__(
-            self,
-            "_D_vars",
-            frozenset(variables_of(substitute(D_ast, self.params))),
+            self, "D_vars", frozenset(variables_of(substitute(D_ast, self.params)))
         )
-
-    @property
-    def D_fn(self) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-        return self._D_fn  # type: ignore[attr-defined]
-
-    @property
-    def D_vars(self) -> frozenset:
-        """Variable names the diffusivity actually depends on."""
-        return self._D_vars  # type: ignore[attr-defined]
-
-    @property
-    def f_fn(self) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-        return self._f_fn  # type: ignore[attr-defined]
 
     @cached_property
     def dfdu1_at_front(self) -> float:
@@ -346,15 +324,21 @@ def _mk_landman(p: Mapping[str, float]) -> TwoSpeciesModel:
     )
 
 
-_PRESETS: Dict[str, tuple[Callable[[Mapping[str, float]], Model], tuple[str, ...]]] = {
+# name -> (builder, parameter names), one table per model flavour; the
+# CLI offers each table's names, in this order, to its own subcommands
+_Presets = Dict[str, tuple[Callable[[Mapping[str, float]], Model], tuple[str, ...]]]
+_SCALAR_PRESETS: _Presets = {
     "fisher_kpp": (_mk_fisher_kpp, ()),
     "porous_fisher": (_mk_porous_fisher, ("m", "n")),
     "allee": (_mk_allee, ("alpha", "a")),
     "linear_shift": (_mk_linear_shift, ("delta",)),
+}
+_TWO_PRESETS: _Presets = {
     "ecm_c": (_mk_ecm_c, ("kappa", "nu")),
     "ecm_b": (_mk_ecm_b, ("kappa", "nu")),
     "landman": (_mk_landman, ("lambda", "K")),
 }
+_PRESETS: _Presets = {**_SCALAR_PRESETS, **_TWO_PRESETS}
 
 
 def preset_names() -> list[str]:

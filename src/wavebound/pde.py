@@ -64,6 +64,9 @@ __all__ = [
 ]
 
 _IC_KINDS = ("step", "smoothed_step", "uniform")
+# the SimConfig fields that pick the initial condition and the tracked
+# level; the moving-boundary simulator fixes both, so it takes only defaults
+_IC_FIELDS = ("ic_kind", "ic_width", "ic_value", "level")
 _MIN_CELLS = 200
 _CFL = 0.2
 _TARGET_SAMPLES = 240
@@ -85,8 +88,8 @@ class SimConfig:
     limit, capped further by each simulator's own terms) when left as
     None.  ``ic_kind`` selects the initial condition:
     a sharp step at L/10, the same step smoothed over ``ic_width``, or a
-    spatially uniform state at ``ic_value`` (useful for quiescence
-    checks; it admits no front, so no speed is fitted).
+    spatially uniform state at ``ic_value`` in [0, 1] (useful for
+    quiescence checks; it admits no front, so no speed is fitted).
     """
 
     L: float
@@ -115,6 +118,9 @@ class SimConfig:
             )
         if self.ic_kind == "smoothed_step" and not self.ic_width > 0.0:
             raise ConfigError(f"ic_width must be > 0, got {self.ic_width}")
+        # the range on which models are validated; NaN fails it too
+        if not 0.0 <= self.ic_value <= 1.0:
+            raise ConfigError(f"ic_value must be finite and in [0, 1], got {self.ic_value}")
         if not 0.0 < self.level < 1.0:
             raise ConfigError(f"level must lie in (0, 1), got {self.level}")
         for t in self.snapshot_times:
@@ -481,9 +487,18 @@ def simulate_fisher_stefan(kappa: float, cfg: SimConfig) -> SimResult:
     automatic dt also caps the advection step at 2 / kappa^2.  The
     fitted speed is the long-time slope of s(t); a warning is emitted if
     that slope is still drifting by more than 1% over the last quarter.
+    The initial state and the tracked front are fixed, so a config whose
+    ``ic_kind``, ``ic_width``, ``ic_value`` or ``level`` is not the
+    default is refused rather than ignored.
     """
     if not (math.isfinite(kappa) and kappa > 0.0):
         raise ConfigError(f"kappa must be finite and > 0, got {kappa}")
+    unused = [k for k in _IC_FIELDS if getattr(cfg, k) != getattr(SimConfig, k)]
+    if unused:
+        raise ConfigError(
+            f"the moving-boundary run fixes its initial state and tracks the "
+            f"boundary itself; leave {', '.join(unused)} at the default"
+        )
     x = _grid(cfg) - cfg.L  # y in [-L, 0]
     dx = cfg.dx
     dx2 = dx * dx

@@ -574,7 +574,7 @@ def adjoint_product(
                 return 0.0
             raise ConfigError(f"u1 must lie in [0, 1], got {u1}")
         lo = max(u1, 1e-12)
-        val, _ = quad(integrand, lo, 1.0 - 1e-12, epsabs=1e-8, epsrel=1e-8)
+        val, _ = quad(integrand, lo, 1.0 - 1e-12, eps=1e-8)
         return -val
 
     return u2_omega

@@ -168,7 +168,7 @@ def _interior_max(g: Callable[[np.ndarray], np.ndarray]) -> Tuple[float, float]:
     lo = float(betas[max(i - 1, 0)])
     hi = float(betas[min(i + 1, len(betas) - 1)])
 
-    mesh = frozen_beta_mesh(g, hi, epsabs=1e-13, epsrel=1e-13)
+    mesh = frozen_beta_mesh(g, hi, eps=1e-13)
 
     def F_frozen(b: float) -> float:
         return b * beta_weighted_on_mesh(b, mesh) / _beta(2.0 - b, 2.0 + b)
@@ -353,7 +353,7 @@ def selection_criterion(model: ScalarModel) -> CriterionReport:
     def integrand(u: np.ndarray) -> np.ndarray:
         return (g(u) - g0) / u * (1.0 - u) ** 2
 
-    tail, _ = quad(integrand, a, 1.0, epsabs=1e-12, epsrel=1e-12)
+    tail, _ = quad(integrand, a, 1.0, eps=1e-12)
     lhs = head + tail
     rhs = g0 / 6.0
 

@@ -23,7 +23,9 @@ Proves:
     regular file exits 2 with one ``error:`` line and nothing on stdout;
     an unknown flag prints the subcommand's usage line, not the root's;
     ``--preset`` given with ``--D``, ``--f``, ``--kappa`` or ``--nu`` exits 2
-    and points to ``--param``; a ``--param`` given twice, or one that
+    and points to ``--param``; every ``--preset`` choice of a subcommand
+    builds a model of that subcommand's flavour, and a preset of the
+    other flavour is an invalid choice (exit 2); a ``--param`` given twice, or one that
     neither ``--D`` nor ``--f`` names, exits 2; a NaN or infinite parameter or kappa, or a
     literal that parses or folds to inf, exits 2 with one ``error:`` line,
     not a traceback or a NaN in the JSON.
@@ -37,7 +39,10 @@ Proves:
     to fit a line or a run too short for its front to move one cell exit
     5, each with one ``error:`` line and nothing on stdout; ``simulate
     stefan`` rejects the initial-condition and level flags it has no use
-    for.
+    for; ``--ic-width`` without ``--ic smoothed_step``, ``--ic-value``
+    without ``--ic uniform``, and an ``--ic-value`` outside [0, 1] (NaN
+    and inf included) exit 2 before any run, and the manifest records
+    the width and value the run used.
  6. ``figure`` sweeps write one CSV per curve with the documented header,
     rerun byte-identically, exit 6 when some points fail (listing each
     failure in the JSON payload, a non-finite grid value included), and
@@ -60,6 +65,7 @@ Proves:
     them.
 """
 
+import argparse
 import json
 import math
 import os
@@ -71,6 +77,7 @@ import pytest
 
 from wavebound import cli, errors
 from wavebound.errors import ModelError, NonConvergenceError
+from wavebound.model import ScalarModel, TwoSpeciesModel
 from wavebound.varbound import fisher_stefan_bound
 
 
@@ -306,6 +313,43 @@ def test_preset_with_model_flags_exit_2(tmp_path, capsys, argv, flags):
     assert not (tmp_path / "o").exists()
 
 
+def _preset_choices(*path):
+    parser = cli.build_parser()
+    for name in path:
+        subparsers = next(
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        parser = subparsers.choices[name]
+    return next(a for a in parser._actions if a.dest == "preset").choices
+
+
+@pytest.mark.parametrize("path, cls", [
+    (("bound", "scalar"), ScalarModel),
+    (("criterion",), ScalarModel),
+    (("simulate", "scalar"), ScalarModel),
+    (("bound", "two-species"), TwoSpeciesModel),
+    (("simulate", "two-species"), TwoSpeciesModel),
+])
+def test_every_preset_choice_builds_its_flavour(path, cls):
+    choices = _preset_choices(*path)
+    assert choices
+    for name in choices:
+        args = cli.build_parser().parse_args([*path, "--preset", name])
+        assert type(cli._build_model(args)) is cls, name
+
+
+@pytest.mark.parametrize("argv, preset", [
+    (["bound", "scalar"], "ecm_b"),
+    (["criterion"], "landman"),
+    (["simulate", "two-species"], "fisher_kpp"),
+])
+def test_preset_of_the_other_flavour_is_an_invalid_choice(tmp_path, capsys, argv, preset):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main([*argv, "--preset", preset, "--out", str(tmp_path)])
+    assert excinfo.value.code == 2
+    assert f"invalid choice: '{preset}'" in capsys.readouterr().err
+
+
 def test_degenerate_diffusion_exit_2(tmp_path, capsys):
     # D = 1 - u2 vanishes at the far field u2 = nu = 1
     code, out, err = _run(capsys, [
@@ -491,6 +535,43 @@ def test_simulate_without_front_exits_5(tmp_path, capsys):
     assert "no trackable front" in err
     # the failure is detected before any file is written
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["scalar", "--preset", "fisher_kpp", "--ic-width", "7"], "--ic-width"),
+    (["scalar", "--preset", "fisher_kpp", "--ic", "uniform", "--ic-width", "7"],
+     "--ic-width"),
+    (["scalar", "--preset", "fisher_kpp", "--ic-value", "0.4"], "--ic-value"),
+    (["two-species", "--preset", "ecm_b", "--ic", "smoothed_step", "--ic-value", "0.4"],
+     "--ic-value"),
+    (["scalar", "--preset", "fisher_kpp", "--ic", "uniform", "--ic-value", "nan"],
+     "ic_value"),
+    (["scalar", "--preset", "fisher_kpp", "--ic", "uniform", "--ic-value", "inf"],
+     "ic_value"),
+    (["two-species", "--preset", "ecm_b", "--ic", "uniform", "--ic-value", "1.5"],
+     "ic_value"),
+])
+def test_simulate_unused_or_invalid_ic_flag_exit_2(tmp_path, capsys, argv, flag):
+    # the run would ignore the flag yet record it in the manifest, or
+    # fail as an unstable step
+    out_dir = tmp_path / "run"
+    code, out, err = _run(capsys, [
+        "simulate", *argv, "--L", "40", "--dx", "0.2", "--T", "5", "--out", str(out_dir),
+    ])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and flag in err
+    assert not out_dir.exists()
+
+
+def test_simulate_manifest_records_the_ic_used(tmp_path, capsys):
+    code, _, _ = _run(capsys, [
+        "simulate", "scalar", "--preset", "fisher_kpp", "--ic", "smoothed_step",
+        "--ic-width", "2", "--L", "40", "--dx", "0.2", "--T", "5", "--out", str(tmp_path),
+    ])
+    assert code == 0
+    sim = _manifest(tmp_path, "simulate-scalar_manifest.json")["resolved_config"]["sim"]
+    assert (sim["ic_kind"], sim["ic_width"], sim["ic_value"]) == ("smoothed_step", 2.0, 0.5)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

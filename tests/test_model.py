@@ -14,12 +14,16 @@ Proves:
       f(1, 0) = 0, kappa finite and >= 0, nu in [0, 1], finite parameters
   4.  Derived quantities: fprime0 and dfdu1_at_front match hand
       derivatives, D0/D_at_front evaluate the diffusivity, and D_vars
-      reports the variables the (parameter-bound) diffusivity uses
+      reports the variables the (parameter-bound) diffusivity uses; the
+      compiled D_fn/f_fn and D_vars are frozen like the fields, but are
+      not fields
   5.  DR_fn is finite at exact and denormal u = 0, patched there to
       D(0) f'(0), and equals D(u) f(u)/u beyond it
   6.  Model files round-trip through dump/load, and malformed files
       raise ConfigError with the offending path/line
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -184,6 +188,12 @@ def test_unused_parameter_is_model_error():
         )
 
 
+def test_two_species_eval_failure_is_model_error():
+    # f(1, 0) divides by zero in pure-python floats
+    with pytest.raises(ModelError, match=r"fail to evaluate on \[0, 1\] x \[0, nu\]"):
+        TwoSpeciesModel("1", "u1*(1 - u1)/(1 - u1)", kappa=1.0, nu=0.5)
+
+
 def test_two_species_validation():
     ok = dict(kappa=1.0, nu=0.5)
     with pytest.raises(ModelError, match="kappa"):
@@ -216,6 +226,19 @@ def test_d_vars_after_parameter_binding():
         "c0 + 0*u2", "u1*(1 - u1)", kappa=1.0, nu=0.5, params={"c0": 2.0}
     )
     assert m.D_vars == {"u2"}
+
+
+@pytest.mark.parametrize(
+    "preset, attr",
+    [("fisher_kpp", "D_fn"), ("fisher_kpp", "f_fn"),
+     ("ecm_b", "D_fn"), ("ecm_b", "f_fn"), ("ecm_b", "D_vars")],
+)
+def test_compiled_attributes_are_frozen(preset, attr):
+    m = make_preset(preset)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(m, attr, None)
+    assert attr not in {f.name for f in dataclasses.fields(m)}
+    assert attr not in m.describe()
 
 
 # -- 5. safe growth-rate ratio ------------------------------------------

@@ -4,7 +4,8 @@ Proves:
   1.  estimate_speed recovers an exactly-translating front's speed,
       reports zero for a stationary one, and raises FrontTrackingError
       for profiles with no crossing or multiple descending crossings
-  2.  SimConfig validates its fields; grids below 200 cells are refused
+  2.  SimConfig validates its fields (an ic_value outside [0, 1], NaN
+      included, too); grids below 200 cells are refused
   3.  A reaction-free uniform state stays exactly constant (conservation
       + no spurious source), and yields NaN fitted speed with an empty
       front series
@@ -22,7 +23,9 @@ Proves:
       within half a percent of the benchmark at kappa = 0.5, the
       small-kappa run lands within 10% of kappa/sqrt(3) while staying
       above the variational bound, a too-short run warns that the
-      boundary speed has not plateaued, and kappa must be finite and > 0
+      boundary speed has not plateaued, kappa must be finite and > 0,
+      and a config that sets the initial condition or level it does not
+      use is refused
   9.  Snapshot and CSV output: requested times are captured (t = 0 and
       t = T in every simulator, and times that fall on one step) and the
       writers produce parseable files with the documented headers
@@ -124,6 +127,10 @@ def test_estimate_speed_multiple_crossings():
         dict(L=10.0, dx=0.1, T=math.inf),
         dict(L=10.0, dx=0.1, T=1.0, dt=math.inf),
         dict(L=10.0, dx=0.1, T=math.nan),
+        dict(L=10.0, dx=0.1, T=1.0, ic_kind="uniform", ic_value=math.nan),
+        dict(L=10.0, dx=0.1, T=1.0, ic_kind="uniform", ic_value=math.inf),
+        dict(L=10.0, dx=0.1, T=1.0, ic_kind="uniform", ic_value=-0.1),
+        dict(L=10.0, dx=0.1, T=1.0, ic_value=1.5),
     ],
 )
 def test_sim_config_rejects(kwargs):
@@ -247,6 +254,17 @@ def test_stefan_short_run_warns():
 def test_stefan_rejects_nonpositive_kappa():
     with pytest.raises(ConfigError):
         simulate_fisher_stefan(0.0, SimConfig(L=60.0, dx=0.2, T=8.0))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("ic_kind", "uniform"), ("ic_kind", "smoothed_step"), ("ic_width", 2.0),
+     ("ic_value", 0.9), ("level", 0.7)],
+)
+def test_stefan_rejects_config_it_does_not_use(field, value):
+    # the run would ignore it and return the default run's speed
+    with pytest.raises(ConfigError, match=field):
+        simulate_fisher_stefan(0.5, SimConfig(L=40.0, dx=0.2, T=5.0, **{field: value}))
 
 
 @pytest.mark.parametrize("kappa", [math.inf, math.nan])

@@ -61,13 +61,13 @@ def test_smooth_vs_scipy():
     ]
     for f, a, b in cases:
         want, _ = scipy_quad(f, a, b, epsabs=1e-13, epsrel=1e-13)
-        got, err = quad(f, a, b, epsabs=1e-13, epsrel=1e-13)
+        got, err = quad(f, a, b, eps=1e-13)
         assert got == pytest.approx(want, abs=1e-12, rel=1e-12)
         assert err < 1e-10
 
 
 def test_inverse_sqrt_endpoint():
-    got, _ = quad(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, epsabs=1e-12, epsrel=1e-12)
+    got, _ = quad(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, eps=1e-12)
     assert got == pytest.approx(2.0, rel=1e-10)
 
 
@@ -77,7 +77,7 @@ def test_divergent_exhausts_budget():
             return 1.0 / np.asarray(x, dtype=float)
 
     with pytest.raises(QuadratureError):
-        quad(inv, 0.0, 1.0, epsabs=1e-12, epsrel=1e-12)
+        quad(inv, 0.0, 1.0, eps=1e-12)
 
 
 def test_non_finite_rejected():
@@ -134,7 +134,7 @@ def test_frozen_mesh_tracks_nearby_exponents():
         1.0 + 0.3 * np.asarray(u, dtype=float)
     )
     center = 1.4
-    mesh = frozen_beta_mesh(g, center, epsabs=1e-13, epsrel=1e-13)
+    mesh = frozen_beta_mesh(g, center, eps=1e-13)
     for b in (1.32, 1.38, 1.4, 1.43, 1.48):
         fresh = beta_weighted_integral(g, b)
         onmesh = beta_weighted_on_mesh(b, mesh)
@@ -238,7 +238,7 @@ def test_one_partition_mesh_equals_reference_loop():
     f = lambda x: np.exp(-x) * np.cos(4.0 * x)
     brk = np.array([0.0, 3.0])
     want = _loop_adapt(f, brk[:-1], brk[1:], epsabs=1e-13, epsrel=1e-13)
-    _, _, starts = _adapt_one(f, brk, 1e-13, 1e-13)
+    _, _, starts = _adapt_one(f, brk, 1e-13)
     got = np.concatenate((np.sort(starts), [3.0]))
     assert len(got) > 3
     np.testing.assert_array_equal(got, want)

@@ -544,8 +544,7 @@ def test_adjoint_matches_crowding_integral():
             lambda q: lam * q * ((1.0 - q) / q) ** beta * (1.0 - q) ** eta,
             u1,
             1.0 - 1e-12,
-            epsabs=1e-11,
-            epsrel=1e-11,
+            eps=1e-11,
         )
         return val
 
@@ -569,8 +568,7 @@ def test_adjoint_matches_ecm_c_integral():
             * ((1.0 - q) / q) ** beta,
             u1,
             1.0 - 1e-12,
-            epsabs=1e-13,
-            epsrel=1e-12,
+            eps=1e-13,
         )
         return val
 
