@@ -6,116 +6,25 @@ species with density-dependent diffusivity, the moving-boundary
 (Stefan-type) logistic problem, and invaders weakly coupled to a
 degrading substance -- and cross-checks every bound against built-in
 finite-difference simulations.
+
+Each module's ``__all__`` is its public API; the package republishes
+those names unchanged.
 """
 
-from .errors import (
-    ConfigError,
-    DegenerateDiffusionError,
-    DivergentIntegralError,
-    ExprSyntaxError,
-    FrontTrackingError,
-    InstabilityError,
-    ModelError,
-    NonConvergenceError,
-    QuadratureError,
-    StepFailureError,
-    WaveboundError,
-)
-from .model import (
-    ScalarModel,
-    TwoSpeciesModel,
-    dump_model_file,
-    load_model_file,
-    make_preset,
-    preset_names,
-)
-from .pde import (
-    SimConfig,
-    SimResult,
-    estimate_speed,
-    simulate_fisher_stefan,
-    simulate_scalar,
-    simulate_two_species,
-)
-from .twospecies import (
-    G_of_beta,
-    M_of_beta,
-    SpeedSolve,
-    WaveProfile2,
-    WeakCouplingReport,
-    adjoint_product,
-    landman_G_closed,
-    linear_speed_two_species,
-    pontryagin_residual,
-    solve_implicit_speed,
-    solve_u2_profile,
-    v_star,
-    weak_coupling_report,
-)
-from .varbound import (
-    BoundResult,
-    CriterionReport,
-    F_limit_beta2,
-    F_of_beta,
-    closed_form_F,
-    fisher_stefan_bound,
-    linear_speed,
-    selection_criterion,
-    sup_F,
-)
+from . import errors, model, pde, twospecies, varbound
+from .errors import *
+from .model import *
+from .pde import *
+from .twospecies import *
+from .varbound import *
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # errors
-    "WaveboundError",
-    "ExprSyntaxError",
-    "ModelError",
-    "ConfigError",
-    "QuadratureError",
-    "DivergentIntegralError",
-    "DegenerateDiffusionError",
-    "StepFailureError",
-    "InstabilityError",
-    "NonConvergenceError",
-    "FrontTrackingError",
-    # models
-    "ScalarModel",
-    "TwoSpeciesModel",
-    "make_preset",
-    "preset_names",
-    "load_model_file",
-    "dump_model_file",
-    # scalar bound
-    "BoundResult",
-    "CriterionReport",
-    "sup_F",
-    "F_of_beta",
-    "F_limit_beta2",
-    "closed_form_F",
-    "selection_criterion",
-    "linear_speed",
-    "fisher_stefan_bound",
-    # two-species
-    "WaveProfile2",
-    "SpeedSolve",
-    "WeakCouplingReport",
-    "v_star",
-    "solve_u2_profile",
-    "M_of_beta",
-    "G_of_beta",
-    "landman_G_closed",
-    "linear_speed_two_species",
-    "solve_implicit_speed",
-    "adjoint_product",
-    "pontryagin_residual",
-    "weak_coupling_report",
-    # simulation
-    "SimConfig",
-    "SimResult",
-    "simulate_scalar",
-    "simulate_two_species",
-    "simulate_fisher_stefan",
-    "estimate_speed",
+    *errors.__all__,
+    *model.__all__,
+    *varbound.__all__,
+    *twospecies.__all__,
+    *pde.__all__,
 ]

@@ -433,8 +433,9 @@ def _axes(fig: _Figure) -> List[str]:
     return [attr for attr, _ in fig.outer + (fig.inner,) if attr]
 
 
-# every figure's grid flags, and the simulation flags --no-sim leaves unused
-_GRID_ATTRS = sorted({attr for fig in _FIGURES.values() for attr in _axes(fig)})
+# every figure's grid flags in table order, and the simulation flags
+# --no-sim leaves unused
+_GRID_ATTRS = list(dict.fromkeys(attr for fig in _FIGURES.values() for attr in _axes(fig)))
 _SIM_ATTRS = ("sim_L", "sim_dx", "sim_T")
 
 
@@ -447,7 +448,9 @@ def _reject_unhonoured(args: argparse.Namespace, fig: _Figure) -> None:
     figure's axes and any simulation flag given with --no-sim; refuse a
     simulation flag that is not finite and > 0."""
     axes = _axes(fig)
-    stray = [_flag(a) for a in _GRID_ATTRS if a not in axes and getattr(args, a) is not None]
+    stray = [
+        _flag(a) for a in sorted(_GRID_ATTRS) if a not in axes and getattr(args, a) is not None
+    ]
     if stray:
         raise ConfigError(
             f"figure {args.n} does not sweep {', '.join(stray)} "
@@ -599,14 +602,10 @@ def build_parser() -> argparse.ArgumentParser:
     fig.add_argument("--out", default=".")
     fig.add_argument("--no-sim", action="store_true", dest="no_sim",
                      help="skip simulations; write bound columns only")
-    fig.add_argument("--m-list", dest="m_list", help="figure 1: comma-separated m")
-    fig.add_argument("--n-list", dest="n_list", help="figure 1: comma-separated n")
-    fig.add_argument("--alpha-list", dest="alpha_list", help="figure 2")
-    fig.add_argument("--a-list", dest="a_list", help="figure 2")
-    fig.add_argument("--kappa-list", dest="kappa_list", help="figures 3 and 4")
-    fig.add_argument("--nu-list", dest="nu_list", help="figure 4")
-    fig.add_argument("--lambda-list", dest="lambda_list", help="figure 5")
-    fig.add_argument("--K-list", dest="K_list", help="figure 5")
+    for attr in _GRID_ATTRS:
+        swept = [str(n) for n, f in _FIGURES.items() if attr in _axes(f)]
+        fig.add_argument(_flag(attr), help=f"comma-separated grid of figure"
+                         f"{'s' * (len(swept) > 1)} {' and '.join(swept)}")
     fig.add_argument("--sim-T", dest="sim_T", type=float, default=None)
     fig.add_argument("--sim-L", dest="sim_L", type=float, default=None)
     fig.add_argument("--sim-dx", dest="sim_dx", type=float, default=None)

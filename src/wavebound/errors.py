@@ -14,6 +14,20 @@ A new subclass needs an entry of its own or an ancestor with one;
 ``tests/test_cli.py`` checks every class defined here.
 """
 
+__all__ = [
+    "WaveboundError",
+    "ExprSyntaxError",
+    "ModelError",
+    "ConfigError",
+    "QuadratureError",
+    "DivergentIntegralError",
+    "DegenerateDiffusionError",
+    "StepFailureError",
+    "InstabilityError",
+    "NonConvergenceError",
+    "FrontTrackingError",
+]
+
 
 class WaveboundError(Exception):
     """Base class for all package-specific errors."""

@@ -115,6 +115,22 @@ def _evaluate(domain: str, *calls: tuple) -> list:
             ) from None
 
 
+def _density(D_fn: Callable, f_fn: Callable, limit: float) -> Callable[..., np.ndarray]:
+    """g(u, *rest) = D(u, *rest) f(u, *rest) / u, the bound's density.
+
+    Safe for exact zeros and denormals: below u = 1e-300 the ratio f/u is
+    replaced by its limit ``limit`` (f'(0), or df/du1 at the front).
+    """
+
+    def g(u: np.ndarray, *rest: np.ndarray) -> np.ndarray:
+        u = np.asarray(u, dtype=float)
+        tiny = u < 1e-300
+        safe = np.where(tiny, 1.0, u)
+        return D_fn(u, *rest) * np.where(tiny, limit, f_fn(safe, *rest) / safe)
+
+    return g
+
+
 @dataclass(frozen=True)
 class ScalarModel:
     """Single-species model. D and f are expressions in ``u``."""
@@ -156,22 +172,8 @@ class ScalarModel:
         return float(self.D_fn(0.0))
 
     def DR_fn(self) -> Callable[[np.ndarray], np.ndarray]:
-        """g(u) = D(u) f(u)/u, finite at u = 0 (the bound's density).
-
-        Safe for exact zeros and denormals: below 1e-300 the ratio f(u)/u
-        is replaced by its limit f'(0).
-        """
-        D_fn = self.D_fn
-        f_fn = self.f_fn
-        fp0 = self.fprime0
-
-        def g(u: np.ndarray) -> np.ndarray:
-            u = np.asarray(u, dtype=float)
-            tiny = u < 1e-300
-            safe = np.where(tiny, 1.0, u)
-            return D_fn(u) * np.where(tiny, fp0, f_fn(safe) / safe)
-
-        return g
+        """g(u) = D(u) f(u)/u, finite at u = 0 (the bound's density)."""
+        return _density(self.D_fn, self.f_fn, self.fprime0)
 
     def describe(self) -> Dict[str, object]:
         return {"species": 1, **asdict(self)}

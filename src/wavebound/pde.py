@@ -75,6 +75,9 @@ _REMEASURE = 16  # steps between measurements of the changed-cell hull
 # a run asking for more steps than this is refused rather than left to
 # run for days (at about 15 us a step, 1e8 steps take 25 minutes)
 _MAX_STEPS = 1e8
+# likewise a grid of more cells than this (over 1,000 times the largest
+# any figure uses) is refused before any array is made
+_MAX_CELLS = 1e7
 
 # the per-species profiles one simulator advances; the first is tracked
 Fields = Tuple[np.ndarray, ...]
@@ -109,6 +112,8 @@ class SimConfig:
         positive = {"L": self.L, "dx": self.dx, "T": self.T}
         if self.dt is not None:
             positive["dt"] = self.dt
+        if self.ic_kind == "smoothed_step":
+            positive["ic_width"] = self.ic_width
         for name, value in positive.items():
             if not (math.isfinite(value) and value > 0.0):
                 raise ConfigError(f"{name} must be finite and > 0, got {value}")
@@ -116,8 +121,6 @@ class SimConfig:
             raise ConfigError(
                 f"ic_kind must be one of {_IC_KINDS}, got {self.ic_kind!r}"
             )
-        if self.ic_kind == "smoothed_step" and not self.ic_width > 0.0:
-            raise ConfigError(f"ic_width must be > 0, got {self.ic_width}")
         # the range on which models are validated; NaN fails it too
         if not 0.0 <= self.ic_value <= 1.0:
             raise ConfigError(f"ic_value must be finite and in [0, 1], got {self.ic_value}")
@@ -261,16 +264,16 @@ def _initial_profile(cfg: SimConfig, x: np.ndarray) -> np.ndarray:
 
 
 def _grid(cfg: SimConfig) -> np.ndarray:
-    n_cells = int(round(cfg.L / cfg.dx))
+    cells = cfg.L / cfg.dx  # inf when the ratio overflows
+    if not cells <= _MAX_CELLS:
+        raise ConfigError(f"grid too fine: L / dx = {cells:.3g} cells > {_MAX_CELLS:g}")
+    n_cells = int(round(cells))
     if n_cells < _MIN_CELLS:
         raise ConfigError(
             f"grid too coarse: {n_cells} cells < {_MIN_CELLS}; "
             "reduce dx or enlarge L"
         )
-    try:
-        return np.linspace(0.0, cfg.L, n_cells + 1)
-    except ValueError:  # NumPy's "Maximum allowed size exceeded"
-        raise ConfigError(f"grid too fine: {cfg.L / cfg.dx:.3g} cells") from None
+    return np.linspace(0.0, cfg.L, n_cells + 1)
 
 
 def _steps(cfg: SimConfig, dt_limit: float) -> Tuple[float, int]:

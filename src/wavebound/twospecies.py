@@ -46,7 +46,7 @@ from .errors import (
     ModelError,
     NonConvergenceError,
 )
-from .model import TwoSpeciesModel
+from .model import TwoSpeciesModel, _density
 from .varbound import _BETA_HI, _BETA_LO, _beta, _log_gamma
 
 __all__ = [
@@ -286,18 +286,8 @@ def _slaved_density(
     model: TwoSpeciesModel, profile: WaveProfile2
 ) -> Callable[[np.ndarray], np.ndarray]:
     """g(u1) = D f / u1 along the slaved profile, finite at u1 = 0."""
-    D_fn, f_fn = model.D_fn, model.f_fn
-    front = model.dfdu1_at_front
-
-    def g(u1: np.ndarray) -> np.ndarray:
-        u1 = np.asarray(u1, dtype=float)
-        u2 = profile.u2_at(u1)
-        tiny = u1 < 1e-300
-        safe = np.where(tiny, 1.0, u1)
-        ratio = np.where(tiny, front, f_fn(safe, u2) / safe)
-        return np.asarray(D_fn(u1, u2), dtype=float) * ratio
-
-    return g
+    g = _density(model.D_fn, model.f_fn, model.dfdu1_at_front)
+    return lambda u1: g(u1, profile.u2_at(u1))
 
 
 def M_of_beta(model: TwoSpeciesModel, beta: float, c: float) -> float:
@@ -553,7 +543,13 @@ def adjoint_product(
     u2 through D, but its derivative (c phi v + phi' D v^2) dD/du2 vanishes
     at the control v* = c q (1-q) / (beta D), where c phi + phi' D v* = 0.
     d(D f)/du2 is a central difference clamped at the far-field ceiling.
+    ``profile`` must be the one solved for this (beta, c).
     """
+    if (profile.beta, profile.c) != (beta, c):
+        raise ConfigError(
+            f"profile solved for (beta, c) = ({profile.beta:g}, {profile.c:g}), "
+            f"not ({beta:g}, {c:g})"
+        )
     D_fn, f_fn = model.D_fn, model.f_fn
     nu = model.nu
 
@@ -569,10 +565,10 @@ def adjoint_product(
 
     def u2_omega(u1: float) -> float:
         u1 = float(u1)
-        if not 0.0 <= u1 < 1.0:
-            if u1 == 1.0:
-                return 0.0
+        if not 0.0 <= u1 <= 1.0:
             raise ConfigError(f"u1 must lie in [0, 1], got {u1}")
+        if u1 >= 1.0 - 1e-12:  # the integration range below is empty
+            return 0.0
         lo = max(u1, 1e-12)
         val, _ = quad(integrand, lo, 1.0 - 1e-12, eps=1e-8)
         return -val
@@ -598,9 +594,9 @@ def pontryagin_residual(
     ``_closed_profile`` probes D on.  Scales like the
     weak-coupling parameter epsilon = kappa nu / c.
     """
+    u2w = adjoint_product(model, beta, c, profile)
     if model.kappa == 0.0 or model.nu == 0.0:
         return 0.0
-    u2w = adjoint_product(model, beta, c, profile)
     grid = _CLOSED_U1[(_CLOSED_U1 > 1e-6) & (_CLOSED_U1 < 1.0 - 1e-9)]
     interior = grid[np.round(np.linspace(0, len(grid) - 1, 48)).astype(int)]
     numer = max(

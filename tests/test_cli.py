@@ -35,13 +35,13 @@ Proves:
     stefan`` at kappa 50 and dx 0.2 runs on its automatic dt with nothing
     on stderr; a run whose profile never crosses the tracking level
     exits 5 without creating the output directory; a T / dt that
-    overflows or exceeds 1e8 steps or a grid too fine to allocate exits 2, and times too small
+    overflows or exceeds 1e8 steps or an L / dx above 1e7 cells exits 2, and times too small
     to fit a line or a run too short for its front to move one cell exit
     5, each with one ``error:`` line and nothing on stdout; ``simulate
     stefan`` rejects the initial-condition and level flags it has no use
     for; ``--ic-width`` without ``--ic smoothed_step``, ``--ic-value``
-    without ``--ic uniform``, and an ``--ic-value`` outside [0, 1] (NaN
-    and inf included) exit 2 before any run, and the manifest records
+    without ``--ic uniform``, an ``--ic-value`` outside [0, 1] (NaN
+    and inf included) and an infinite ``--ic-width`` exit 2 before any run, and the manifest records
     the width and value the run used.
  6. ``figure`` sweeps write one CSV per curve with the documented header,
     rerun byte-identically, exit 6 when some points fail (listing each
@@ -550,6 +550,8 @@ def test_simulate_without_front_exits_5(tmp_path, capsys):
      "ic_value"),
     (["two-species", "--preset", "ecm_b", "--ic", "uniform", "--ic-value", "1.5"],
      "ic_value"),
+    (["scalar", "--preset", "fisher_kpp", "--ic", "smoothed_step", "--ic-width", "inf"],
+     "ic_width"),
 ])
 def test_simulate_unused_or_invalid_ic_flag_exit_2(tmp_path, capsys, argv, flag):
     # the run would ignore the flag yet record it in the manifest, or
@@ -581,15 +583,18 @@ def test_simulate_manifest_records_the_ic_used(tmp_path, capsys):
     (["two-species", "--preset", "ecm_b", "--param", "kappa=1e300"], 2, "T / dt"),
     (["stefan", "--kappa", "1e100"], 2, "T / dt"),
     (["scalar", "--preset", "fisher_kpp", "--dx", "1e-300", "--T", "1"], 2, "grid too fine"),
+    (["scalar", "--preset", "fisher_kpp", "--dx", "5e-10", "--T", "1"], 2, "grid too fine"),
+    (["scalar", "--preset", "fisher_kpp", "--dx", "5e-324", "--T", "1"], 2, "grid too fine"),
     (["scalar", "--preset", "fisher_kpp", "--T", "1e-300"], 5, "no trackable front"),
     (["scalar", "--preset", "fisher_kpp", "--T", "1e-20"], 5, "less than one cell"),
     (["scalar", "--preset", "fisher_kpp", "--T", "0.01"], 5, "less than one cell"),
     (["two-species", "--preset", "ecm_b", "--T", "0.01"], 5, "less than one cell"),
-], ids=["dt", "kappa", "kappa_steps", "stefan_kappa_steps", "dx", "T", "T_one_step",
-        "T_sub_cell", "two_species_T_sub_cell"])
+], ids=["dt", "kappa", "kappa_steps", "stefan_kappa_steps", "dx", "dx_cells", "dx_inf_cells",
+        "T", "T_one_step", "T_sub_cell", "two_species_T_sub_cell"])
 def test_simulate_overflowing_input_exits_with_a_code(tmp_path, capfd, argv, want_code, want):
     # T / dt overflows or asks for more than 1e8 steps (a kappa of 1e300
-    # ran for days), L / dx cells cannot be allocated, the fitted times
+    # ran for days), L / dx asks for more than 1e7 cells (1e11 cells
+    # would take 0.8 TB an array; 50 / 5e-324 overflows), the fitted times
     # are too small for a least-squares line, or the run is too short for
     # its front to move one cell (one step fitted -60230.67 at T = 1e-20,
     # five steps 11.90 at T = 0.01): one error line each, and nothing (not

@@ -123,6 +123,7 @@ def test_estimate_speed_multiple_crossings():
         dict(L=10.0, dx=0.1, T=1.0, level=1.0),
         dict(L=10.0, dx=0.1, T=1.0, snapshot_times=(2.0,)),
         dict(L=10.0, dx=0.1, T=1.0, ic_kind="smoothed_step", ic_width=0.0),
+        dict(L=10.0, dx=0.1, T=1.0, ic_kind="smoothed_step", ic_width=math.inf),
         dict(L=math.inf, dx=0.1, T=1.0),
         dict(L=10.0, dx=0.1, T=math.inf),
         dict(L=10.0, dx=0.1, T=1.0, dt=math.inf),

@@ -40,9 +40,11 @@ Proves:
   7.  The adjoint quadrature matches the hand-derived co-state integrals
       lambda * integral q phi u2 dq for the crowding model and
       integral u2 q (1-q) phi dq for ecm_c (D = 1 - u2), whose Hamiltonian
-      term through dD/du2 vanishes at v*
+      term through dD/du2 vanishes at v*; it is 0 on the empty range
+      u1 >= 1 - 1e-12 and refuses a u1 outside [0, 1]
   8.  pontryagin_residual vanishes for decoupled models and stays within
-      a few epsilon otherwise; weak_coupling_report applies both
+      a few epsilon otherwise; the two diagnostics refuse a profile solved
+      for another (beta, c); weak_coupling_report applies both
       validity gates
 """
 
@@ -585,6 +587,26 @@ def test_adjoint_edge_cases():
         u2w(-0.1)
     with pytest.raises(ConfigError):
         u2w(1.5)
+    # just below u1 = 1 the integration range [u1, 1 - 1e-12] is empty
+    m = make_preset("ecm_c", {"kappa": 1.0, "nu": 0.5})
+    u2w = adjoint_product(m, 1.0, 1.5, solve_u2_profile(m, 1.0, 1.5))
+    assert u2w(1.0 - 1e-13) == 0.0
+    assert u2w(1.0 - 1e-12) == 0.0
+
+
+def test_diagnostics_refuse_a_profile_of_another_beta_or_c():
+    # u2 would come from the profile's (beta, c), phi and v* from the
+    # arguments'
+    m = make_preset("ecm_c", {"kappa": 1.0, "nu": 0.5})
+    prof = solve_u2_profile(m, 1.0, 1.5)
+    for beta, c in ((1.2, 1.5), (1.0, 1.4)):
+        with pytest.raises(ConfigError, match="profile solved for"):
+            adjoint_product(m, beta, c, prof)
+        with pytest.raises(ConfigError, match="profile solved for"):
+            pontryagin_residual(m, beta, c, prof)
+    decoupled = make_preset("ecm_c", {"kappa": 0.0, "nu": 0.5})
+    with pytest.raises(ConfigError, match="profile solved for"):
+        pontryagin_residual(decoupled, 1.2, 1.5, solve_u2_profile(decoupled, 1.0, 1.5))
 
 
 # -- 8. optimality diagnostics -------------------------------------------
