@@ -104,12 +104,21 @@ def _nodes(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 def _eval_panels(
     f: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Kronrod value and |K15 - G7| error estimate for each panel [a_i, b_i]."""
+    """The integrand on the GK15 nodes, one row per panel [a_i, b_i], and
+    the panels' half-widths."""
     x, half = _nodes(a, b)
     y = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
     if not np.isfinite(y).all():
         bad = float(x.ravel()[~np.isfinite(y.ravel())][0])
         raise QuadratureError(f"integrand is not finite at x = {bad!r}")
+    return y, half
+
+
+def _panel_sums(y: np.ndarray, half: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Kronrod value and |K15 - G7| error estimate of each row of
+    ``_eval_panels``' output.  BLAS rounds a row of ``y @ w`` by its place
+    in the call, so ``_adapt`` sums each partition's rows in calls of
+    their own."""
     vals = half * (y @ _K15_WEIGHTS)
     gauss = half * (y[:, 1::2] @ _G7_WEIGHTS)
     return vals, np.abs(vals - gauss)
@@ -128,10 +137,9 @@ def _adapt(
     round evaluates the new panels of every unfinished partition with one
     ``_eval_panels`` call on ``integrand(active, counts)``: the round's
     panels come in order, ``counts[k]`` of them from partition
-    ``active[k]``.  Each partition then applies the split rule to its own
-    panels alone.  A panel's value can differ in the last bit from a
-    one-partition round (BLAS rounds a row of ``y @ w`` by its place in
-    the call), so only a split decision resting on that bit would move.
+    ``active[k]``.  Each partition then sums its own rows in its own
+    products and applies the split rule to its own panels alone, so it
+    adapts exactly as it would alone, bit for bit.
     """
     done: List[Tuple[float, float, np.ndarray]] = [None] * len(parts)
     kept: List[Optional[Tuple[np.ndarray, ...]]] = [None] * len(parts)
@@ -140,14 +148,14 @@ def _adapt(
     round_b = [b for _, b in parts]
     while active:
         counts = [len(a) for a in round_a]
-        round_vals, round_errs = _eval_panels(
+        y, half = _eval_panels(
             integrand(active, counts), _concat(round_a), _concat(round_b)
         )
         unfinished, next_a, next_b = [], [], []
         stop = 0
         for j, a, b, count in zip(active, round_a, round_b, counts):
             start, stop = stop, stop + count
-            vals, errs = round_vals[start:stop], round_errs[start:stop]
+            vals, errs = _panel_sums(y[start:stop], half[start:stop])
             if kept[j] is not None:
                 ka, kb, kvals, kerrs = kept[j]
                 a, b = np.concatenate((ka, a)), np.concatenate((kb, b))
@@ -280,12 +288,12 @@ def _substituted(
 ) -> Callable[[np.ndarray], np.ndarray]:
     """The s-space integrand q * s**(q*(2-beta)-1) * g(u) * (1-u)**beta.
 
-    ``beta`` and ``q`` may also be arrays with one entry per abscissa.
-    The operations are the same either way, except that NumPy forms
-    (1-u)**0.5 by sqrt for a scalar exponent and by pow for an array, so
-    at beta = 0.5 the two can differ in the last bit.
+    ``beta`` and ``q`` may also be arrays with one entry per abscissa,
+    which give the same values bit for bit: NumPy forms (1-u)**0.5 by sqrt
+    for a scalar exponent, so an array takes sqrt where its beta is 0.5.
     """
     s_exp = q * (2.0 - beta) - 1.0
+    sqrt_at = np.flatnonzero(beta == 0.5) if isinstance(beta, np.ndarray) else ()
 
     def integrand(s: np.ndarray) -> np.ndarray:
         s = np.asarray(s, dtype=float)
@@ -294,7 +302,10 @@ def _substituted(
         u = np.exp(log_u)  # underflows to 0.0 for tiny s; g must cope
         one_minus_u = -np.expm1(log_u)
         out = q * np.exp(s_exp * log_s) * np.asarray(g(u), dtype=float)
-        out *= one_minus_u**beta
+        weight = one_minus_u**beta
+        if len(sqrt_at):
+            weight[sqrt_at] = np.sqrt(one_minus_u[sqrt_at])
+        out *= weight
         return out
 
     return integrand
@@ -344,6 +355,28 @@ def beta_weighted_integral(
     return value
 
 
+def _adapt_betas(
+    g: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    betas: np.ndarray,
+    eps: float,
+) -> Tuple[np.ndarray, List[Tuple[float, float, np.ndarray]]]:
+    """Seed one partition per beta as ``beta_weighted_integral`` does and
+    refine them in lockstep with ``_adapt``; return the substitution
+    exponents and ``_adapt``'s results.  Each abscissa carries its own
+    beta and q, and ``g(u, k)`` receives the index k of its beta, so
+    partition k's value is ``beta_weighted_integral``'s bit for bit when
+    ``g(u, k)`` is beta k's g."""
+    qs = np.array([_q_for(beta) for beta in betas])
+    index = np.arange(len(betas))
+
+    def integrand(active: List[int], counts: List[int]):
+        k = np.repeat(index[active], [len(_K15_NODES) * count for count in counts])
+        return _substituted(lambda u: g(u, k), betas[k], qs[k])
+
+    parts = [(brk[:-1], brk[1:]) for brk in map(_seed_breakpoints, qs)]
+    return qs, _adapt(integrand, parts, eps)
+
+
 def frozen_beta_meshes(
     g: Callable[[np.ndarray], np.ndarray],
     betas: Sequence[float],
@@ -359,16 +392,7 @@ def frozen_beta_meshes(
     exponent regularises the whole bracket.
     """
     betas = np.array([_check_beta(beta) for beta in betas])
-    qs = np.array([_q_for(beta) for beta in betas])
-
-    def integrand(active: List[int], counts: List[int]):
-        nodes = [len(_K15_NODES) * count for count in counts]
-        return _substituted(
-            g, np.repeat(betas[active], nodes), np.repeat(qs[active], nodes)
-        )
-
-    parts = [(brk[:-1], brk[1:]) for brk in map(_seed_breakpoints, qs)]
-    adapted = _adapt(integrand, parts, eps)
+    qs, adapted = _adapt_betas(lambda u, _: g(u), betas, eps)
     meshes = [np.concatenate((np.sort(pa), [1.0])) for _, _, pa in adapted]
     x, half = _nodes(
         np.concatenate([mesh[:-1] for mesh in meshes]),
@@ -406,9 +430,9 @@ def beta_weighted_on_mesh(
     beta: Union[float, np.ndarray], mesh: FrozenBetaMesh
 ) -> Union[float, np.ndarray]:
     """The beta-weighted integral on a frozen mesh, from the g cached on
-    its nodes.  A scalar beta repeats the operations of ``_substituted``
-    and ``_eval_panels``, so it equals one ``_eval_panels`` sweep over
-    ``mesh.breakpoints``, summed, bit for bit; a 1-D array gives one
+    its nodes.  A scalar beta repeats the operations of ``_substituted``,
+    ``_eval_panels`` and ``_panel_sums``, so it equals one sweep of them
+    over ``mesh.breakpoints``, summed, bit for bit; a 1-D array gives one
     value per beta in one broadcast."""
     scalar = np.ndim(beta) == 0
     if scalar:

@@ -226,7 +226,7 @@ def _float_list(text: str) -> List[float]:
 
 def _pool_size(n_items: int) -> int:
     # no pool any more: kept only as the benchmark tracer's hook until the
-    # next benchmark change drops its lookup (ROADMAP item 5)
+    # next benchmark change drops its lookup (ROADMAP item 9)
     return 1
 
 

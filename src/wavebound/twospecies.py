@@ -32,19 +32,21 @@ below 1e-12 nu, or at its end, and one exponential tail past its last step.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import partial
 from math import expm1, inf, log, sqrt
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ._ode import dop853
-from ._quad import beta_weighted_integral, quad
+from ._quad import DEFAULT_EPS, _adapt_betas, beta_weighted_integral, quad
 from ._search import golden_max
 from .errors import (
     ConfigError,
     DegenerateDiffusionError,
     ModelError,
     NonConvergenceError,
+    WaveboundError,
 )
 from .model import TwoSpeciesModel, _density
 from .varbound import _BETA_HI, _BETA_LO, _beta, _log_gamma
@@ -89,9 +91,16 @@ class WaveProfile2:
         A huge kappa overflows the map's rate to inf (and 0 * inf is NaN);
         the quadrature then reports the non-finite integrand.
         """
-        u1 = np.asarray(u1, dtype=float)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            return np.clip(self._u2_of_w(-np.log1p(-u1)), 0.0, self.nu)
+        return _u2_on(self._u2_of_w, self.nu, u1)
+
+
+def _u2_on(
+    u2_of_w: Callable[[np.ndarray], np.ndarray], nu: float, u1: np.ndarray
+) -> np.ndarray:
+    """u2 = u2_of_w(-ln(1 - u1)), clipped to [0, nu]."""
+    u1 = np.asarray(u1, dtype=float)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return np.clip(u2_of_w(-np.log1p(-u1)), 0.0, nu)
 
 
 @dataclass(frozen=True)
@@ -105,8 +114,9 @@ class SpeedSolve:
     converged: bool
     beta_star: float
     c_linear: float
-    # G_evals: G(beta; c) evaluations (one slaved profile each below
-    # beta = 2); sup_G_calls: maximisations over beta
+    # G_evals: G(beta; c) values formed (one slaved profile each below
+    # beta = 2, none for a value a search at the same c formed before);
+    # sup_G_calls: maximisations over beta
     stats: Dict[str, int]
 
     def to_dict(self) -> Dict[str, object]:
@@ -228,6 +238,28 @@ def _closed_profile(
     return profile
 
 
+def _closed_u2(
+    model: TwoSpeciesModel,
+) -> Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]]:
+    """The map (coef, w) -> u2 of the first three routes of
+    ``solve_u2_profile``, in its order, with coef = kappa beta / c^2 a
+    scalar or one entry per w; None for a general D."""
+    nu = model.nu
+    if model.kappa == 0.0 or nu == 0.0:
+        # not nu exp(-0 w): at u1 = 1, w = inf and 0 * inf is NaN
+        return lambda coef, w: np.full(np.shape(w), nu)
+    if not model.D_vars:
+        # constant diffusivity: the slaved ODE is linear with constant
+        # rate, u2 = nu (1 - u1)^(coef D), exact everywhere -- no need to
+        # pay for an adaptive integration
+        D = float(model.D_fn(0.0, nu))
+        return lambda coef, w: nu * np.exp(-(coef * D) * w)
+    if model.D_vars == {"u2"}:
+        curve = _substance_curve(model)
+        return lambda coef, w: curve(coef * w)
+    return None
+
+
 def solve_u2_profile(model: TwoSpeciesModel, beta: float, c: float) -> WaveProfile2:
     """The slaved substance profile u2(u1) from (u1, u2) = (0, nu) to u1 = 1.
 
@@ -256,20 +288,9 @@ def solve_u2_profile(model: TwoSpeciesModel, beta: float, c: float) -> WaveProfi
         raise ConfigError(f"beta must lie in (0, 2), got {beta}")
     kappa, nu = model.kappa, model.nu
     coef = kappa * beta / (c * c)
-
-    if kappa == 0.0 or nu == 0.0:
-        return _closed_profile(model, beta, c, lambda w: np.full(np.shape(w), nu))
-
-    if not model.D_vars:
-        # constant diffusivity: the slaved ODE is linear with constant
-        # rate, u2 = nu (1 - u1)^(coef D), exact everywhere -- no need to
-        # pay for an adaptive integration
-        rate = coef * float(model.D_fn(0.0, nu))
-        return _closed_profile(model, beta, c, lambda w: nu * np.exp(-rate * w))
-
-    if model.D_vars == {"u2"}:
-        curve = _substance_curve(model)
-        return _closed_profile(model, beta, c, lambda w: curve(coef * w))
+    u2_of = _closed_u2(model)
+    if u2_of is not None:
+        return _closed_profile(model, beta, c, lambda w: u2_of(coef, w))
 
     D_fn = model.D_fn
 
@@ -312,6 +333,38 @@ def G_of_beta(model: TwoSpeciesModel, beta: float, c: float) -> float:
     return beta * M / _beta(2.0 - beta, 2.0 + beta)
 
 
+def _closed_G(
+    model: TwoSpeciesModel, betas: List[float], c: float
+) -> Optional[List[float]]:
+    """``G_of_beta`` at each of ``betas`` in (0, 2), bit for bit, in one
+    lockstep quadrature; None for a general D, whose profiles need one ODE
+    solve per (beta, c), and for a c that ``solve_u2_profile`` refuses.
+
+    Every closed profile is checked for a vanishing D in beta order, as
+    ``solve_u2_profile`` does.  Then ``_adapt_betas`` refines one
+    partition per beta, each node reading u2 at its own profile rate coef
+    = kappa beta / c^2.  The first error met here need not be the one
+    ``G_of_beta`` meets first going beta by beta, so callers that keep
+    those errors evaluate the betas that way when this raises.
+    """
+    u2_of = _closed_u2(model)
+    if u2_of is None or not c > 0.0:
+        return None
+    coefs = np.array([model.kappa * beta / (c * c) for beta in betas])
+    for beta, coef in zip(betas, coefs):
+        _closed_profile(model, beta, c, partial(u2_of, coef))
+    g = _density(model.D_fn, model.f_fn, model.dfdu1_at_front)
+
+    def slaved(u1: np.ndarray, k: np.ndarray) -> np.ndarray:
+        return g(u1, _u2_on(lambda w: u2_of(coefs[k], w), model.nu, u1))
+
+    _, adapted = _adapt_betas(slaved, np.array(betas), DEFAULT_EPS)
+    return [
+        beta * M / _beta(2.0 - beta, 2.0 + beta)
+        for beta, (M, _, _) in zip(betas, adapted)
+    ]
+
+
 def landman_G_closed(beta: float, lam: float, kappa: float, c: float) -> float:
     """Closed form of G for the crowding model D = 1, f = u1(1-u1-lam*u2),
     far-field u2 = 1: with eta = kappa beta / c^2,
@@ -352,32 +405,46 @@ def _sup_G(
     c: float,
     xtol: float,
     hint: Optional[float] = None,
+    seen: Optional[Dict[float, float]] = None,
 ) -> Tuple[float, float, int]:
     """sup over beta in (0, 2] of G(beta; c), boundary limit included.
 
-    Returns (beta_star, G_star, n) with n the number of G evaluations.
+    Returns (beta_star, G_star, n) with n the number of G values formed.
     ``hint`` warm-starts the search with a local bracket around the
     previous maximiser; if the local bracket's edge wins, the full grid is
-    rescanned (the maximiser moved).
+    rescanned (the maximiser moved).  ``seen`` caches G(beta; c) for
+    beta < 2 at this c, so a second search at the same c forms only the
+    values the first did not; G(2; c) is formed on every call.
     """
     G2 = G_of_beta(model, 2.0, c)
+    n = 1
     # golden_max reads its bracket edges and mid, which the grid scan
-    # solved; the cache makes those reads free
-    seen: Dict[float, float] = {}
+    # formed; the cache makes those reads free
+    seen = {} if seen is None else seen
 
     def G(beta: float) -> float:
-        beta = float(beta)
+        nonlocal n
         if beta not in seen:
             seen[beta] = G_of_beta(model, beta, c)
+            n += 1
         return seen[beta]
 
-    def interior(lo: float, hi: float, n: int) -> Tuple[float, float]:
-        betas = np.linspace(lo, hi, n)
-        vals = np.array([G(b) for b in betas])
+    def interior(lo: float, hi: float, count: int) -> Tuple[float, float]:
+        nonlocal n
+        betas = [float(b) for b in np.linspace(lo, hi, count)]
+        missing = [b for b in betas if b not in seen]
+        try:
+            grid = _closed_G(model, missing, c) if missing else None
+        except WaveboundError:
+            grid = None  # G_of_beta meets it too, beta by beta, below
+        if grid is not None:
+            seen.update(zip(missing, grid))
+            n += len(grid)
+        vals = [G(b) for b in betas]
         i = int(np.argmax(vals))
-        b_lo = float(betas[max(i - 1, 0)])
-        b_hi = float(betas[min(i + 1, n - 1)])
-        return golden_max(G, b_lo, b_hi, xtol=xtol, mid=float(betas[i]))
+        b_lo = betas[max(i - 1, 0)]
+        b_hi = betas[min(i + 1, count - 1)]
+        return golden_max(G, b_lo, b_hi, xtol=xtol, mid=betas[i])
 
     local = None
     if hint is not None and hint < 2.0:
@@ -391,7 +458,7 @@ def _sup_G(
     beta_i, G_i = local or interior(_BETA_LO, _BETA_HI, 24)
     if G2 >= G_i:
         beta_i, G_i = 2.0, G2
-    return beta_i, G_i, len(seen) + 1
+    return beta_i, G_i, n
 
 
 def solve_implicit_speed(model: TwoSpeciesModel) -> SpeedSolve:
@@ -414,8 +481,9 @@ def solve_implicit_speed(model: TwoSpeciesModel) -> SpeedSolve:
 
     The settled c is re-maximised at xtol 1e-6, then polished by up to three
     steps c <- sqrt(2 sup G), each kept only if its update is smaller than
-    the one before.  ``stats`` counts the G evaluations and the
-    maximisations over beta.
+    the one before.  Each c keeps its G values, so a search that repeats a
+    c forms only the betas new to it.  ``stats`` counts the G values
+    formed and the maximisations over beta.
     """
     c_lin = linear_speed_two_species(model)
     c = max(c_lin, 0.2)
@@ -423,12 +491,14 @@ def solve_implicit_speed(model: TwoSpeciesModel) -> SpeedSolve:
     prev_update = 0.0
     hint: Optional[float] = None
     stats = {"G_evals": 0, "sup_G_calls": 0}
+    # G(beta; c) for beta < 2 by c, for searches that repeat a c
+    cache: Dict[float, Dict[float, float]] = {}
 
     def sup_G(
         cc: float, xtol: float, hint: Optional[float] = None
     ) -> Tuple[float, float, float]:
         # (beta*, sup G, the fixed-point target sqrt(2 sup G)) at cc
-        beta, G_val, n = _sup_G(model, cc, xtol, hint)
+        beta, G_val, n = _sup_G(model, cc, xtol, hint, cache.setdefault(cc, {}))
         stats["sup_G_calls"] += 1
         stats["G_evals"] += n
         return beta, G_val, sqrt(2.0 * max(G_val, 0.0))

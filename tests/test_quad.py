@@ -27,6 +27,9 @@ Proves:
       group plus beta = 1.999 (q = 2001), and _adapt_one, its
       one-partition case, gives that loop's mesh; a g that is not finite
       inside a lockstep round raises QuadratureError naming the abscissa
+ 10.  _adapt over many substituted partitions (per-node beta and q, a
+      beta = 0.5 among them) returns for each exactly the value, error
+      estimate and panels that _adapt_one returns for it alone
 """
 
 import math
@@ -37,9 +40,12 @@ from scipy.integrate import quad as scipy_quad
 from scipy.special import beta as beta_fn
 
 from wavebound._quad import (
+    _K15_NODES,
+    _adapt,
     _adapt_one,
     _eval_panels,
     _nodes,
+    _panel_sums,
     _probe_divergence,
     _q_for,
     _seed_breakpoints,
@@ -153,7 +159,8 @@ def test_cached_mesh_equals_uncached_sweep_bitwise():
             mesh = frozen_beta_mesh(g, center)
             brk = mesh.breakpoints
             for b in (center - 0.02, center - 1e-7, center):
-                vals, _ = _eval_panels(_substituted(g, b, mesh.q), brk[:-1], brk[1:])
+                f = _substituted(g, b, mesh.q)
+                vals, _ = _panel_sums(*_eval_panels(f, brk[:-1], brk[1:]))
                 assert beta_weighted_on_mesh(b, mesh) == float(vals.sum()), (center, b)
 
 
@@ -188,7 +195,7 @@ def test_array_beta_outside_range_raises():
 def _loop_adapt(f, a, b, epsabs=1e-10, epsrel=1e-10, limit=4096):
     """The adaptive loop for one partition, as it was written before the
     partitions adapted in lockstep; returns the sorted breakpoints."""
-    vals, errs = _eval_panels(f, a, b)
+    vals, errs = _panel_sums(*_eval_panels(f, a, b))
     while float(errs.sum()) > max(epsabs, epsrel * abs(float(vals.sum()))):
         assert len(a) < limit
         order = np.argsort(errs)[::-1]
@@ -200,7 +207,7 @@ def _loop_adapt(f, a, b, epsabs=1e-10, epsrel=1e-10, limit=4096):
         lo, hi = a[idx], b[idx]
         mid = 0.5 * (lo + hi)
         new_a, new_b = np.concatenate((lo, mid)), np.concatenate((mid, hi))
-        new_vals, new_errs = _eval_panels(f, new_a, new_b)
+        new_vals, new_errs = _panel_sums(*_eval_panels(f, new_a, new_b))
         a, b = np.concatenate((a[keep], new_a)), np.concatenate((b[keep], new_b))
         vals = np.concatenate((vals[keep], new_vals))
         errs = np.concatenate((errs[keep], new_errs))
@@ -254,3 +261,22 @@ def test_non_finite_g_in_lockstep_round_raises():
         QuadratureError, match=r"^integrand is not finite at x = \d\.\d+(e-\d+)?$"
     ):
         frozen_beta_meshes(g, (0.4, 1.2, 1.9))
+
+
+@pytest.mark.parametrize("g", [case[0] for case in _MESH_CASES])
+def test_lockstep_partitions_equal_one_partition_runs(g):
+    betas = np.append(np.linspace(1e-3, 2.0 - 1e-3, 24), 0.5)
+    qs = np.array([_q_for(beta) for beta in betas])
+
+    def integrand(active, counts):
+        nodes = [len(_K15_NODES) * count for count in counts]
+        return _substituted(
+            g, np.repeat(betas[active], nodes), np.repeat(qs[active], nodes)
+        )
+
+    parts = [(brk[:-1], brk[1:]) for brk in map(_seed_breakpoints, qs)]
+    for beta, q, (value, err, starts) in zip(betas, qs, _adapt(integrand, parts, 1e-10)):
+        brk = _seed_breakpoints(int(q))
+        want = _adapt_one(_substituted(g, float(beta), int(q)), brk, 1e-10)
+        assert (value, err) == want[:2], beta
+        np.testing.assert_array_equal(starts, want[2])

@@ -21,7 +21,11 @@ Proves:
       refused
   4.  G(beta; c) by quadrature matches the Gamma-function closed form
       for the crowding model on a (lambda, kappa, beta) grid, including
-      through the general ODE path, and G(2; c) = 2(1 - lambda) exactly
+      through the general ODE path, and G(2; c) = 2(1 - lambda) exactly;
+      a lockstep grid of G (_closed_G) equals G_of_beta one beta at a
+      time bit for bit on constant D, D(u2), kappa = 0 and nu = 0, grids
+      holding beta = 0.5 included, refuses a D that vanishes along the
+      profile with G_of_beta's error, and declines a general D
   5.  Decoupled limits: kappa = 0 reduces G to beta (1 - nu) and the
       implicit speed to the linear speed 2 sqrt(1 - nu) attained at the
       boundary
@@ -70,6 +74,7 @@ from wavebound.twospecies import (
     v_star,
     weak_coupling_report,
 )
+from wavebound.twospecies import _closed_G
 from wavebound.twospecies import _sup_G as twospecies_sup_G
 
 
@@ -344,6 +349,46 @@ def test_G_closed_form_domain_checks():
         landman_G_closed(1.0, 0.5, 1.0, 0.0)
 
 
+_CLOSED_GRID_MODELS = {
+    "landman": lambda: make_preset("landman", {"lambda": 0.3, "K": 1.2}),
+    "ecm_b": lambda: make_preset("ecm_b", {"kappa": 10.0, "nu": 0.5}),
+    "ecm_c": lambda: make_preset("ecm_c", {"kappa": 5.0, "nu": 0.5}),
+    "kappa0": lambda: TwoSpeciesModel(
+        "1 + 0.5*u1*u2", "u1*(1 - u1 - u2)", kappa=0.0, nu=0.5
+    ),
+    "nu0": lambda: make_preset("ecm_b", {"kappa": 3.0, "nu": 0.0}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CLOSED_GRID_MODELS))
+@pytest.mark.parametrize("c", [0.8, 1.3])
+def test_closed_G_equals_G_of_beta_bitwise(name, c):
+    model = _CLOSED_GRID_MODELS[name]()
+    # the full scan, and a local grid holding beta = 0.5 exactly
+    for grid in (np.linspace(1e-3, 2.0 - 1e-3, 24), np.linspace(0.25, 0.75, 5)):
+        betas = [float(b) for b in grid]
+        assert _closed_G(model, betas, c) == [G_of_beta(model, b, c) for b in betas]
+    assert 0.5 in betas
+
+
+def test_closed_G_refuses_a_vanishing_D_as_G_of_beta_does():
+    model = TwoSpeciesModel("1 - u1", "u1*(1 - u1)", kappa=0.0, nu=0.5)
+    with pytest.raises(DegenerateDiffusionError, match="vanishes along") as want:
+        G_of_beta(model, 1e-3, 1.0)
+    for search in (
+        lambda: _closed_G(model, [1e-3, 0.5], 1.0),
+        lambda: twospecies_sup_G(model, 1.0, 1e-4),
+    ):
+        with pytest.raises(DegenerateDiffusionError) as got:
+            search()
+        assert str(got.value) == str(want.value)
+
+
+def test_closed_G_declines_a_general_D():
+    model = TwoSpeciesModel("1 + u1*u2", "u1*(1 - u1 - u2)", kappa=1.0, nu=0.5)
+    assert _closed_G(model, [0.5, 1.0], 1.0) is None
+
+
 # -- 5. decoupled limits --------------------------------------------------
 
 
@@ -422,41 +467,67 @@ def test_general_D_speed_pins_tight(D, f, kappa, nu, want, beta_star, iterations
     assert res.iterations == iterations
 
 
+def _count_formed_G(monkeypatch):
+    """Record (c, beta) for every G value formed, one at a time through
+    G_of_beta or on a lockstep grid through _closed_G; the second list
+    holds the grid ones alone."""
+    from wavebound import twospecies
+
+    formed, on_grid = [], []
+    real_G, real_grid = twospecies.G_of_beta, twospecies._closed_G
+
+    def G_of_beta(model, beta, c):
+        formed.append((c, float(beta)))
+        return real_G(model, beta, c)
+
+    def closed_G(model, betas, c):
+        values = real_grid(model, betas, c)
+        if values is not None:
+            on_grid.extend((c, beta) for beta in betas)
+            formed.extend((c, beta) for beta in betas)
+        return values
+
+    monkeypatch.setattr(twospecies, "G_of_beta", G_of_beta)
+    monkeypatch.setattr(twospecies, "_closed_G", closed_G)
+    return formed, on_grid
+
+
 @pytest.mark.parametrize("hint", [None, 1.7])
 def test_sup_G_evaluates_each_beta_once(monkeypatch, hint):
     from wavebound import twospecies
 
-    betas = []
-    real = twospecies.G_of_beta
-
-    def counted(model, beta, c):
-        betas.append(float(beta))
-        return real(model, beta, c)
-
-    monkeypatch.setattr(twospecies, "G_of_beta", counted)
+    formed, on_grid = _count_formed_G(monkeypatch)
     model = make_preset("ecm_b", {"kappa": 10.0, "nu": 0.5})
     _, _, n = twospecies._sup_G(model, 1.25, 1e-4, hint)
+    betas = [beta for _, beta in formed]
     assert len(betas) > 24
     assert len(betas) == len(set(betas))
     assert n == len(betas)
+    assert len(on_grid) >= (24 if hint is None else 5)
 
 
 def test_speed_solve_stats_count_G_evals(monkeypatch):
-    from wavebound import twospecies
-
-    calls = []
-    real = twospecies.G_of_beta
-
-    def counted(model, beta, c):
-        calls.append(float(beta))
-        return real(model, beta, c)
-
-    monkeypatch.setattr(twospecies, "G_of_beta", counted)
+    formed, on_grid = _count_formed_G(monkeypatch)
     res = solve_implicit_speed(make_preset("ecm_b", {"kappa": 10.0, "nu": 0.5}))
-    assert res.stats["G_evals"] == len(calls)
+    assert res.stats["G_evals"] == len(formed)
     # one beta = 2 boundary value per maximisation
-    assert res.stats["sup_G_calls"] == calls.count(2.0)
+    betas = [beta for _, beta in formed]
+    assert res.stats["sup_G_calls"] == betas.count(2.0)
     assert res.stats["sup_G_calls"] >= res.iterations
+    # below beta = 2, each beta once per c
+    interior = [pair for pair in formed if pair[1] != 2.0]
+    assert len(interior) == len(set(interior))
+    assert on_grid
+
+
+def test_pulled_solve_reuses_its_searches():
+    # the settled c equals the starting one bit for bit, so the final
+    # search re-reads the grid and the Brent prefix of the first
+    res = solve_implicit_speed(make_preset("ecm_b", {"kappa": 0.5, "nu": 0.5}))
+    assert res.c.hex() == "0x1.0000000000001p+0"
+    assert res.beta_star == 2.0
+    assert res.stats["sup_G_calls"] == 2
+    assert res.stats["G_evals"] <= 40
 
 
 def test_sup_G_matches_landman_closed_form():
